@@ -16,12 +16,13 @@ three jobs:
   process and would route the same key differently in every worker.
 * **execute** — fan a wave of requests out to their shards, one pickled
   :func:`~repro.service.worker.schedule_many` call per shard per wave.
-  Shard executors are lazy fork-pool singletons initialised from the one
-  :class:`~repro.core.config.SchedulerConfig`; ``parallel=False`` runs
-  every shard in-process (same code path, no processes — the unit-test
-  and single-core story).  A shard whose pool dies mid-call is torn
-  down and its requests reported transient, mirroring the service's
-  broken-pool recovery.
+  Each shard runs on its own single-process
+  :class:`~repro.service.pipeline.WorkerExecutor`, forked lazily from the
+  one :class:`~repro.core.config.SchedulerConfig`; ``parallel=False`` runs
+  every shard in-process (the executor's inline mode — the unit-test and
+  single-core story).  A shard whose worker dies or hangs mid-call is
+  killed and its requests reported transient, the same broken-pool
+  recovery the batch service's pool gets.
 * **rebalance** — watch per-shard load over a sliding window and, when
   the max/mean skew exceeds ``rebalance_skew``, rotate the routing salt
   so future waves spread differently.  Rebalancing never touches the
@@ -52,12 +53,8 @@ from repro.fabric.aggregation import (
 )
 from repro.obs.instrument import Instrumentation
 from repro.service.cache import CanonicalKey
-from repro.service.worker import (
-    WorkRequest,
-    WorkResponse,
-    init_worker,
-    schedule_many,
-)
+from repro.service.pipeline import WorkerExecutor, WorkerPoolError
+from repro.service.worker import WorkRequest, WorkResponse
 from repro.util.bitmath import is_power_of_two
 
 __all__ = ["FabricController"]
@@ -82,20 +79,16 @@ class FabricController:
     parallel:
         ``True`` gives each shard its own single-process fork pool;
         ``False`` executes every shard inline in this process (identical
-        results — the executors run the same worker functions).
+        results — the executor runs the same worker functions either way).
     rebalance_skew:
         max/mean per-shard load ratio above which the routing salt
         rotates.  ``0`` disables rebalancing.
     shard_timeout:
         seconds to wait for one shard's wave result before declaring the
-        shard broken.  Shard executors are
-        :class:`~concurrent.futures.ProcessPoolExecutor`\\ s rather than
-        ``multiprocessing.Pool``\\ s deliberately: a SIGKILLed pool
-        worker can die holding a queue lock and deadlock even
-        ``Pool.terminate()``, while the executor detects the death and
-        raises ``BrokenProcessPool`` promptly.  The timeout is the
-        backstop for a *hung* (not dead) worker.  ``None`` waits
-        forever.
+        shard broken.  A dead worker surfaces at once (the executor's
+        ``BrokenProcessPool``); the timeout is the backstop for a *hung*
+        one.  Either way the shard's worker is killed and a fresh one
+        forked for the next wave.  ``None`` waits forever.
     obs:
         optional :class:`~repro.obs.Instrumentation`; the controller
         emits ``fabric.*`` counters and gauges.
@@ -136,8 +129,11 @@ class FabricController:
         self.shard_timeout = shard_timeout
         self.obs = obs
         self._salt = 0
-        self._pools: dict[int, Any] = {}
-        self._inline_ready = False
+        processes = 1 if parallel and tree_count > 1 else 0
+        self._executors = [
+            WorkerExecutor(self.config, processes, shard_timeout)
+            for _ in range(tree_count)
+        ]
         self._direct = None  # lazy scheduler for schedule_global local legs
         #: lifetime requests executed per shard (metrics / bench surface)
         self.shard_load: list[int] = [0] * tree_count
@@ -194,55 +190,21 @@ class FabricController:
             self._gauge("fabric.shard.load", self.shard_load[shard], shard=shard)
         self._inc("fabric.requests", len(requests))
 
+        waves = [
+            (shard, reqs, self._executors[shard].start(reqs))
+            for shard, reqs in by_shard.items()
+        ]
         out: list[WorkResponse] = []
-        if not self.parallel or self.tree_count == 1:
-            if not self._inline_ready:
-                init_worker(self.config.to_dict())
-                self._inline_ready = True
-            for reqs in by_shard.values():
-                out.extend(schedule_many(reqs))
-            return out
-
-        inflight: list[tuple[int, list[WorkRequest], Any]] = []
-        for shard, reqs in by_shard.items():
-            pool = self._ensure_pool(shard)
-            inflight.append((shard, reqs, pool.submit(schedule_many, reqs)))
-        for shard, reqs, future in inflight:
+        for shard, reqs, wave in waves:
             try:
-                out.extend(future.result(timeout=self.shard_timeout))
-            except Exception as exc:
-                # this shard's worker died (BrokenProcessPool) or hung
-                # past the timeout; discard its executor and let the
-                # service retry these requests on a fresh one.
-                self._abort_pool(shard)
+                out.extend(self._executors[shard].finish(wave))
+            except WorkerPoolError as exc:
+                # the executor already killed this shard's worker; the
+                # service retries these requests on a fresh one.
                 self._inc("fabric.shard.broken")
-                err = f"shard {shard} worker failure: {exc!r}"
+                err = f"shard {shard} worker failure: {exc}"
                 out.extend((tid, "transient", err) for tid, _, _ in reqs)
         return out
-
-    def _ensure_pool(self, shard: int):
-        pool = self._pools.get(shard)
-        if pool is None:
-            import multiprocessing as mp
-            from concurrent.futures import ProcessPoolExecutor
-
-            try:
-                ctx = mp.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX
-                ctx = mp.get_context()
-            pool = ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=ctx,
-                initializer=init_worker,
-                initargs=(self.config.to_dict(),),
-            )
-            self._pools[shard] = pool
-        return pool
-
-    def _abort_pool(self, shard: int) -> None:
-        pool = self._pools.pop(shard, None)
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     # -- rebalancing ---------------------------------------------------------
 
@@ -398,15 +360,14 @@ class FabricController:
 
     def close(self) -> None:
         """Shut every shard executor down (idempotent)."""
-        pools, self._pools = self._pools, {}
-        for pool in pools.values():
-            pool.shutdown(wait=True)
+        for executor in self._executors:
+            executor.close()
 
     def terminate(self) -> None:
-        """Hard teardown — the abort path's counterpart to :meth:`close`."""
-        pools, self._pools = self._pools, {}
-        for pool in pools.values():
-            pool.shutdown(wait=False, cancel_futures=True)
+        """Hard teardown — kills every shard's worker (:meth:`close`'s
+        abort-path counterpart)."""
+        for executor in self._executors:
+            executor.abort()
 
     def __enter__(self) -> "FabricController":
         return self

@@ -7,10 +7,14 @@ that gap with three orthogonal pieces:
 * :mod:`repro.service.cache` — a canonical-signature LRU cache, so a
   workload that repeats (the common case for phase-structured algorithms
   on the SRGA) pays for scheduling once;
-* :mod:`repro.service.worker` — the multiprocessing side: a worker-pool
-  initializer that rebuilds a :class:`~repro.core.config.SchedulerConfig`
-  in each worker, and a request function whose inputs and outputs are
-  plain JSON-able payloads (via :mod:`repro.io`);
+* :mod:`repro.service.worker` — the worker side of every process
+  boundary: an initializer that rebuilds a
+  :class:`~repro.core.config.SchedulerConfig`, and request functions whose
+  inputs and outputs are plain JSON-able payloads (via :mod:`repro.io`);
+* :mod:`repro.service.pipeline` — the request pipeline both services
+  drain through (cache, dedup, shape grouping, execute, settle) and
+  :class:`~repro.service.pipeline.WorkerExecutor`, the one executor for
+  pools, fabric shards and in-process runs;
 * :mod:`repro.service.service` — :class:`SchedulerService`, the
   submit/drain façade with admission control, per-request deadlines and
   deterministic retry backoff.
@@ -24,8 +28,8 @@ arrival:
 * :mod:`repro.service.tenants` — per-tenant token-bucket quotas and
   deficit-round-robin weighted-fair dequeue;
 * :mod:`repro.service.streaming` — :class:`StreamingSchedulerService`,
-  the long-running online service tying both to the same cache, dedup,
-  columnar batching and parity machinery the batch service uses.
+  the long-running online service tying both to the same request
+  pipeline the batch service drains through.
 
 Everything a service path returns is bit-identical (at the serialized
 level of :func:`repro.io.schedule_to_dict`) to a direct

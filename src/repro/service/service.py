@@ -7,13 +7,14 @@ The service turns the one-shot scheduler into a serving component:
   against a full queue is *rejected at the door* (a ticket that says so,
   not an exception) — overload sheds load instead of growing without
   bound.  Each accepted request carries a deadline in logical ticks.
-* **drain** settles every accepted request.  Repeats are served from the
-  :class:`~repro.service.cache.ScheduleCache`; misses fan out over a
-  multiprocessing pool (or run inline for ``workers <= 1`` — same code
-  path, see :mod:`repro.service.worker`).  Transient failures retry under
-  the recovery subsystem's deterministic exponential backoff (``2^(a-1)``
-  idle ticks before attempt ``a``); requests that outlive their deadline
-  expire.  Every submitted request is accounted for in the
+* **drain** settles every accepted request, one wave per tick, through
+  the shared request pipeline (:mod:`repro.service.pipeline`): repeats are
+  served from the :class:`~repro.service.cache.ScheduleCache`, misses run
+  on the service's :class:`~repro.service.pipeline.WorkerExecutor` — a
+  fork pool of ``workers`` processes, or inline for ``workers <= 1`` —
+  or on an attached fabric.  Transient failures retry under the recovery
+  subsystem's deterministic exponential backoff; requests that outlive
+  their deadline expire.  Every submitted request is accounted for in the
   :class:`BatchReport` — the service degrades, it does not crash.
 
 Time is a *logical tick clock* advanced by the drain loop, so backoff and
@@ -37,16 +38,16 @@ from repro.comms.communication import CommunicationSet
 from repro.core.config import SchedulerConfig
 from repro.core.schedule import Schedule
 from repro.exceptions import ReproError, SchedulingError
-from repro.io import cset_to_dict, result_from_dict, result_to_dict
+from repro.io import cset_to_dict
 from repro.obs.instrument import Instrumentation
-from repro.service.cache import CanonicalKey, ScheduleCache, canonical_signature
-from repro.service.worker import (
-    WorkRequest,
-    WorkResponse,
-    init_worker,
-    schedule_batch_request,
-    schedule_request,
+from repro.service.cache import CanonicalKey, canonical_signature
+from repro.service.pipeline import (
+    RequestPipeline,
+    ServiceParityError,
+    SettledPayload,
+    work_request,
 )
+from repro.service.worker import WorkRequest, WorkResponse
 
 __all__ = [
     "BatchReport",
@@ -56,10 +57,6 @@ __all__ = [
     "ServiceParityError",
     "Ticket",
 ]
-
-
-class ServiceParityError(ReproError):
-    """A service-path schedule diverged from the direct scheduler."""
 
 
 class RequestStatus(enum.Enum):
@@ -79,7 +76,7 @@ class Ticket:
 
 
 @dataclass(frozen=True, slots=True)
-class RequestResult:
+class RequestResult(SettledPayload):
     """The settled fate of one submitted request."""
 
     ticket_id: int
@@ -90,34 +87,6 @@ class RequestResult:
     payload: dict[str, Any] | None = None
     error: str | None = None
     signature: str | None = None  # relabelling-invariant Dyck word
-
-    @property
-    def result(self) -> Any | None:
-        """The settled result rebuilt from its canonical serialized form.
-
-        A :class:`~repro.core.schedule.Schedule` for well-nested requests,
-        a :class:`~repro.core.plan.GeneralSchedule` for arbitrary sets the
-        service lowered through well-nested decomposition.
-        """
-        return result_from_dict(self.payload) if self.payload else None
-
-    @property
-    def schedule(self) -> Schedule | None:
-        """The executable round schedule (a general result's combined plan)."""
-        result = self.result
-        return getattr(result, "combined", result)
-
-    @property
-    def batches(self) -> int:
-        """Well-nested sub-batches this request decomposed into.
-
-        ``1`` for well-nested requests (no decomposition needed), ``0``
-        while unsettled or when the request never produced a schedule.
-        """
-        if not self.payload:
-            return 0
-        decompose = self.payload.get("decompose")
-        return int(decompose["n_batches"]) if decompose else 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +143,7 @@ class BatchReport:
 
 @dataclass(slots=True)
 class _Pending:
-    ticket_id: int
+    request_id: int  # the ticket id
     cset: CommunicationSet
     key: CanonicalKey
     payload: dict[str, Any] = field(default_factory=dict)
@@ -185,7 +154,7 @@ class _Pending:
     last_error: str | None = None
 
 
-class SchedulerService:
+class SchedulerService(RequestPipeline):
     """Batched PADR scheduling behind admission control and a cache.
 
     Parameters
@@ -195,8 +164,8 @@ class SchedulerService:
         local, cached or pooled — is computed under.
     workers:
         fan-out width.  ``<= 1`` schedules inline (no processes spawned);
-        ``> 1`` lazily starts a multiprocessing pool whose workers are
-        initialised from ``config``.
+        ``> 1`` lazily forks a pool of that many workers, initialised
+        from ``config``.
     cache_size / max_queue:
         LRU capacity and the admission-control bound.
     default_deadline:
@@ -205,10 +174,10 @@ class SchedulerService:
         transient-failure retries before a request is FAILED.
     pool_timeout:
         seconds to wait for one pooled wave before declaring the pool
-        broken.  A SIGKILLed pool worker makes ``Pool.map`` wait forever
-        (the task is lost, never errored), so an unbounded wait would
-        hang ``drain`` on one dead process; the timeout converts that
-        into the transient-retry path.  ``None`` waits forever.
+        broken.  A dead worker surfaces at once; the timeout is the
+        backstop for a *hung* one.  Either way the pool's workers are
+        killed and the wave's requests retry as transient failures on a
+        fresh pool.  ``None`` waits forever.
     parity_check:
         re-run every settled request through a direct in-process
         ``PADRScheduler`` and require serialized equality.
@@ -249,27 +218,25 @@ class SchedulerService:
             raise SchedulingError(
                 f"default_deadline must be >= 1, got {default_deadline}"
             )
-        if max_retries < 0:
-            raise SchedulingError(f"max_retries must be >= 0, got {max_retries}")
-        self.config = config if config is not None else SchedulerConfig()
+        super().__init__(
+            config=config,
+            cache_size=cache_size,
+            max_retries=max_retries,
+            parity_check=parity_check,
+            fabric=fabric,
+            obs=obs,
+            run="service",
+            workers=workers,
+            timeout=pool_timeout,
+        )
         self.workers = workers
         self.max_queue = max_queue
         self.default_deadline = default_deadline
-        self.max_retries = max_retries
         self.pool_timeout = pool_timeout
-        self.parity_check = parity_check
-        self.fabric = fabric
-        self.obs = obs
-        metrics = obs.metrics if obs is not None else None
-        run = obs.run if obs is not None else "service"
-        self.cache = ScheduleCache(cache_size, metrics=metrics, run=run)
         self._queue: list[_Pending] = []
         self._rejected: list[RequestResult] = []
         self._next_id = 0
         self._tick = 0
-        self._pool = None
-        self._direct = None  # lazy parity scheduler
-        self._inline_ready = False
 
     # -- submission ----------------------------------------------------------
 
@@ -285,19 +252,7 @@ class SchedulerService:
         self._next_id += 1
         self._inc("service.submitted")
         if len(self._queue) >= self.max_queue:
-            self._inc("service.rejected")
-            self._rejected.append(
-                RequestResult(
-                    ticket_id=ticket_id,
-                    status=RequestStatus.REJECTED,
-                    error=f"queue full ({self.max_queue})",
-                )
-            )
-            return Ticket(
-                id=ticket_id,
-                accepted=False,
-                reason=f"queue full ({self.max_queue})",
-            )
+            return self._reject(ticket_id, f"queue full ({self.max_queue})")
         # canonicalisation doubles as admission validation: oversized sets
         # — and, unless config.decompose="auto" admits them for well-nested
         # decomposition, wrongly-oriented ones — are turned away here, not
@@ -305,32 +260,16 @@ class SchedulerService:
         try:
             key = canonical_signature(cset, n_leaves, config=self.config)
         except ReproError as exc:
-            self._inc("service.rejected")
-            self._rejected.append(
-                RequestResult(
-                    ticket_id=ticket_id,
-                    status=RequestStatus.REJECTED,
-                    error=str(exc),
-                )
-            )
-            return Ticket(id=ticket_id, accepted=False, reason=str(exc))
+            return self._reject(ticket_id, str(exc))
         if self.fabric is not None and key.n_leaves > self.fabric.leaf_width:
-            reason = (
+            return self._reject(
+                ticket_id,
                 f"request needs {key.n_leaves} leaves but fabric trees "
-                f"have {self.fabric.leaf_width}"
+                f"have {self.fabric.leaf_width}",
             )
-            self._inc("service.rejected")
-            self._rejected.append(
-                RequestResult(
-                    ticket_id=ticket_id,
-                    status=RequestStatus.REJECTED,
-                    error=reason,
-                )
-            )
-            return Ticket(id=ticket_id, accepted=False, reason=reason)
         self._queue.append(
             _Pending(
-                ticket_id=ticket_id,
+                request_id=ticket_id,
                 cset=cset,
                 key=key,
                 payload=cset_to_dict(cset),
@@ -343,6 +282,15 @@ class SchedulerService:
         )
         self._gauge("service.queue.depth", len(self._queue))
         return Ticket(id=ticket_id, accepted=True)
+
+    def _reject(self, ticket_id: int, reason: str) -> Ticket:
+        self._inc("service.rejected")
+        self._rejected.append(
+            RequestResult(
+                ticket_id=ticket_id, status=RequestStatus.REJECTED, error=reason
+            )
+        )
+        return Ticket(id=ticket_id, accepted=False, reason=reason)
 
     def submit_many(
         self, csets: Iterable[CommunicationSet], *, n_leaves: int | None = None
@@ -359,10 +307,10 @@ class SchedulerService:
         """Settle every queued request and return the full accounting.
 
         If settlement itself raises — a :class:`ServiceParityError`, a
-        corrupt payload — the worker pool is torn down *hard* before the
-        exception propagates: a drain abandoned mid-wave must not leave
-        live worker processes behind, and the pool's state can no longer
-        be trusted anyway.  The next drain lazily starts a fresh pool.
+        corrupt payload — the worker pool is killed before the exception
+        propagates: a drain abandoned mid-wave must not leave live worker
+        processes behind, and the pool's state can no longer be trusted
+        anyway.  The next drain lazily forks a fresh pool.
         """
         try:
             obs = self.obs
@@ -371,7 +319,7 @@ class SchedulerService:
             with obs.metrics.span("service.drain", run=obs.run):
                 return self._drain()
         except BaseException:
-            self._abort_pool()
+            self._executor.abort()
             raise
 
     def _drain(self) -> BatchReport:
@@ -402,79 +350,33 @@ class SchedulerService:
             ]
             for p in expired:
                 self._inc("service.expired")
-                results[p.ticket_id] = RequestResult(
-                    ticket_id=p.ticket_id,
-                    status=RequestStatus.EXPIRED,
-                    attempts=p.attempts,
-                    wait_ticks=self._tick - p.submit_tick,
-                    error=p.last_error or "deadline exceeded",
-                    signature=p.key.dyck,
+                results[p.request_id] = self._result(
+                    p, RequestStatus.EXPIRED, error=p.last_error or "deadline exceeded"
                 )
 
-            # de-duplicate within the wave: one leader per canonical key
-            # executes, its followers are served from the fresh cache entry.
-            leaders: dict[tuple[int, str, str], _Pending] = {}
-            followers: dict[tuple[int, str, str], list[_Pending]] = {}
-            for p in wave:
-                cached = self.cache.get(p.key)
-                if cached is not None:
-                    results[p.ticket_id] = self._settle(p, cached, from_cache=True)
-                elif p.key.cache_key in leaders:
-                    followers.setdefault(p.key.cache_key, []).append(p)
-                else:
-                    leaders[p.key.cache_key] = p
+            hits, leaders, followers = self._lookup(wave)
+            for p, payload in hits:
+                results[p.request_id] = self._settle(p, payload, from_cache=True)
 
             retry: list[_Pending] = []
             if leaders:
-                by_id = {p.ticket_id: p for p in leaders.values()}
-                for ticket_id, status, payload in self._execute(
-                    list(leaders.values())
+                responses = self._execute(list(leaders.values()))
+                for p, outcome, value in self._ladder(
+                    responses, leaders, followers, self._tick
                 ):
-                    p = by_id[ticket_id]
-                    p.attempts += 1
-                    tail = followers.get(p.key.cache_key, [])
-                    if status == "ok":
-                        self.cache.put(p.key, payload)
-                        results[p.ticket_id] = self._settle(
-                            p, payload, from_cache=False
-                        )
-                        for f in tail:
-                            hit = self.cache.get(f.key)
-                            assert hit is not None
-                            results[f.ticket_id] = self._settle(
-                                f, hit, from_cache=True
-                            )
-                    elif status == "permanent":
-                        # deterministic input error: every duplicate shares it.
-                        for q in (p, *tail):
-                            self._inc("service.failed")
-                            results[q.ticket_id] = RequestResult(
-                                ticket_id=q.ticket_id,
-                                status=RequestStatus.FAILED,
-                                attempts=q.attempts,
-                                wait_ticks=self._tick - q.submit_tick,
-                                error=str(payload),
-                                signature=q.key.dyck,
-                            )
-                    elif p.attempts > self.max_retries:
+                    if outcome == "failed":
                         self._inc("service.failed")
-                        results[p.ticket_id] = RequestResult(
-                            ticket_id=p.ticket_id,
-                            status=RequestStatus.FAILED,
-                            attempts=p.attempts,
-                            wait_ticks=self._tick - p.submit_tick,
-                            error=str(payload),
-                            signature=p.key.dyck,
+                        results[p.request_id] = self._result(
+                            p, RequestStatus.FAILED, error=value
                         )
-                        retry.extend(tail)  # followers retry on their own budget
-                    else:
-                        # the recovery loop's discipline: 2^(a-1) idle ticks
-                        # before attempt a+1.
-                        self._inc("service.retries")
-                        p.last_error = str(payload)
-                        p.eligible_tick = self._tick + (1 << (p.attempts - 1))
+                    elif outcome in ("retry", "requeue"):
+                        if outcome == "retry":
+                            self._inc("service.retries")
                         retry.append(p)
-                        retry.extend(tail)
+                    else:
+                        results[p.request_id] = self._settle(
+                            p, value, from_cache=outcome == "cached"
+                        )
 
             active = later + retry
 
@@ -493,135 +395,34 @@ class SchedulerService:
         self.submit_many(csets, n_leaves=n_leaves)
         return self.drain()
 
-    # -- execution backends --------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
     def _execute(self, pending: list[_Pending]) -> list[WorkResponse]:
+        """Run one wave's leaders: on the fabric, routed by signature, or
+        shape-grouped on this service's executor."""
         if self.fabric is not None:
-            requests: list[WorkRequest] = [
-                (p.ticket_id, p.payload, p.key.n_leaves) for p in pending
-            ]
-            shards = [self.fabric.route(p.key) for p in pending]
-            return self.fabric.execute(requests, shards)
-        singles, groups = self._shape_groups(pending)
-        if self.workers <= 1:
-            if not self._inline_ready:
-                init_worker(self.config.to_dict())
-                self._inline_ready = True
-            out = [schedule_request(r) for r in singles]
-            for grp in groups:
-                out.extend(schedule_batch_request(grp))
-            return out
-        pool = self._ensure_pool()
-        try:
-            out = []
-            if singles:
-                chunk = max(1, len(singles) // (self.workers * 4))
-                out.extend(
-                    pool.map_async(
-                        schedule_request, singles, chunksize=chunk
-                    ).get(timeout=self.pool_timeout)
-                )
-            if groups:
-                for responses in pool.map_async(
-                    schedule_batch_request, groups
-                ).get(timeout=self.pool_timeout):
-                    out.extend(responses)
-            return out
-        except Exception as exc:
-            # a worker died (SIGKILL, interpreter crash): the wave either
-            # raises outright or sits on a lost task until ``pool_timeout``
-            # fires — never the per-request error envelopes the workers
-            # normally produce.  The pool is unusable afterwards —
-            # discard it and report every in-flight request as transient,
-            # so the drain loop retries on a fresh pool under the normal
-            # backoff schedule instead of failing the whole wave (or worse,
-            # reusing a broken pool on the next drain).
-            self._abort_pool()
-            self._inc("service.pool.broken")
-            err = f"worker pool failure: {exc!r}"
-            return [(p.ticket_id, "transient", err) for p in pending]
+            return self.fabric.execute(
+                [work_request(p) for p in pending],
+                [self.fabric.route(p.key) for p in pending],
+            )
+        return self._run(*self._shape_groups(pending))
 
     def _shape_groups(
         self, pending: list[_Pending]
     ) -> tuple[list[WorkRequest], list[list[WorkRequest]]]:
-        """Split a wave into solo requests and same-shape columnar batches.
-
-        The PR-4 dedup already collapsed identical placed keys, so what is
-        left differs at least in placement.  Requests whose configuration
-        selects the columnar kernel are grouped by *shape* — ``(n_leaves,
-        dyck word, config)``, the relabelling-invariant coarsening of the
-        cache key — and each multi-member group executes through one
-        batched kernel invocation.  Everything else stays a solo request.
-        """
-        config = self.config
-        solo: list[WorkRequest] = []
-        grouped: dict[tuple[int, str, str], list[WorkRequest]] = {}
-        for p in pending:
-            request: WorkRequest = (p.ticket_id, p.payload, p.key.n_leaves)
-            if config.selects_columnar(p.key.n_leaves) and not p.key.general:
-                shape = (p.key.n_leaves, p.key.dyck, p.key.config)
-                grouped.setdefault(shape, []).append(request)
-            else:
-                solo.append(request)
-        groups: list[list[WorkRequest]] = []
-        for members in grouped.values():
-            if len(members) == 1:
-                solo.append(members[0])
-            else:
-                groups.append(members)
+        """Split a wave into solo requests and same-shape columnar batches."""
+        solo, lone, groups = self._group(pending)
         if groups:
-            batched = sum(len(g) for g in groups)
             self._inc("service.shape_batches", len(groups))
-            self._inc("service.shape_batched", batched)
-        return solo, groups
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing as mp
-
-            try:
-                ctx = mp.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX
-                ctx = mp.get_context()
-            self._pool = ctx.Pool(
-                processes=self.workers,
-                initializer=init_worker,
-                initargs=(self.config.to_dict(),),
-            )
-        return self._pool
+            self._inc("service.shape_batched", sum(len(g) for g in groups))
+        return (
+            [work_request(p) for p in (*solo, *lone)],
+            [[work_request(p) for p in group] for group in groups],
+        )
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def _abort_pool(self) -> None:
-        """Tear the pool down hard (terminate, not close) — for the paths
-        where worker state is no longer trustworthy: a drain that raised
-        mid-settlement, or a pool call that itself blew up.
-
-        The workers are killed directly before ``Pool.terminate()`` runs:
-        a worker that died mid-IPC can leave the pool's shared queue lock
-        held forever, and ``terminate()`` itself blocks trying to take it.
-        Killing the survivors first guarantees nobody re-acquires the
-        lock, and the final ``terminate()``/``join()`` runs on a daemon
-        thread so a poisoned pool can never hang the service."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        for proc in getattr(pool, "_pool", []) or []:
-            if proc.is_alive():  # pragma: no branch
-                proc.terminate()
-
-        def _reap() -> None:  # pragma: no cover - timing dependent
-            pool.terminate()
-            pool.join()
-
-        import threading
-
-        threading.Thread(target=_reap, daemon=True, name="pool-reaper").start()
+        self._executor.close()
 
     def __enter__(self) -> "SchedulerService":
         return self
@@ -634,40 +435,19 @@ class SchedulerService:
     def _settle(
         self, p: _Pending, payload: dict[str, Any], *, from_cache: bool
     ) -> RequestResult:
-        if self.parity_check:
-            self._assert_parity(p, payload)
-        decompose = payload.get("decompose")
-        if decompose is not None:
-            self._inc("decompose.requests")
-            self._inc("decompose.batches", int(decompose.get("n_batches", 1)))
+        self._deliver(p, payload)
+        return self._result(
+            p, RequestStatus.DONE, from_cache=from_cache, payload=payload
+        )
+
+    def _result(
+        self, p: _Pending, status: RequestStatus, **fields: Any
+    ) -> RequestResult:
         return RequestResult(
-            ticket_id=p.ticket_id,
-            status=RequestStatus.DONE,
-            from_cache=from_cache,
+            ticket_id=p.request_id,
+            status=status,
             attempts=p.attempts,
             wait_ticks=self._tick - p.submit_tick,
-            payload=payload,
             signature=p.key.dyck,
+            **fields,
         )
-
-    def _assert_parity(self, p: _Pending, payload: dict[str, Any]) -> None:
-        if self._direct is None:
-            self._direct = self.config.build()
-        direct = result_to_dict(
-            self._direct.schedule(p.cset, n_leaves=p.key.n_leaves)
-        )
-        if direct != payload:
-            raise ServiceParityError(
-                f"ticket {p.ticket_id}: service schedule diverged from the "
-                f"direct scheduler (signature {p.key.dyck!r})"
-            )
-
-    # -- metrics helpers -----------------------------------------------------
-
-    def _inc(self, name: str, amount: int = 1) -> None:
-        if self.obs is not None and amount:
-            self.obs.metrics.inc(name, amount, run=self.obs.run)
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.obs is not None:
-            self.obs.metrics.set(name, value, run=self.obs.run)

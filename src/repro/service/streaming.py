@@ -20,11 +20,12 @@ The moving parts, all on one deterministic logical tick clock:
 * **fairness** — ready work queues per tenant; each tick's execution
   budget is dealt by deficit round-robin weighted by tenant quota, so a
   hog cannot starve anyone (:mod:`repro.service.tenants`);
-* **the drain path** — reuses PR 4's relabelling-invariant signature
-  cache and intra-tick dedup, and PR 5's same-shape columnar batching:
-  compatible misses accumulate into one ``schedule_batch`` invocation,
-  held back at most ``batch_window`` ticks and never past a request's
-  deadline slack (the latency budget);
+* **the drain path** — the request pipeline the batch service also runs
+  (:mod:`repro.service.pipeline`): signature cache, intra-tick dedup and
+  same-shape columnar batching, with this service's own ``batch_window``
+  holdback between grouping and execution — a lone columnar-eligible
+  miss waits at most ``batch_window`` ticks for shape peers and never
+  past its deadline slack (the latency budget);
 * **parity** — every delivered payload is, optionally live-asserted,
   bit-identical at the serialized level to a direct ``PADRScheduler``
   run; the streaming CI gate runs with it on.
@@ -51,7 +52,7 @@ from repro.comms.communication import CommunicationSet
 from repro.core.config import SchedulerConfig
 from repro.core.schedule import Schedule
 from repro.exceptions import ReproError, SchedulingError
-from repro.io import cset_to_dict, result_from_dict, result_to_dict
+from repro.io import cset_to_dict
 from repro.obs.instrument import Instrumentation
 from repro.service.admission import (
     AdmissionController,
@@ -61,16 +62,10 @@ from repro.service.admission import (
     LoadSample,
     Priority,
 )
-from repro.service.cache import CanonicalKey, ScheduleCache, canonical_signature
-from repro.service.service import ServiceParityError
+from repro.service.cache import CanonicalKey, canonical_signature
+from repro.service.pipeline import RequestPipeline, SettledPayload, work_request
 from repro.service.tenants import TenantQuota, TenantRegistry
 from repro.util.stats import percentile
-from repro.service.worker import (
-    WorkRequest,
-    init_worker,
-    schedule_batch_request,
-    schedule_request,
-)
 
 __all__ = [
     "StreamReport",
@@ -122,7 +117,7 @@ class StreamTicket:
 
 
 @dataclass(frozen=True, slots=True)
-class StreamResult:
+class StreamResult(SettledPayload):
     """The settled fate of one streaming request."""
 
     request_id: int
@@ -135,26 +130,6 @@ class StreamResult:
     payload: dict[str, Any] | None = None
     error: str | None = None
     signature: str | None = None
-
-    @property
-    def result(self) -> Any | None:
-        """The settled result (``Schedule``, or ``GeneralSchedule`` when the
-        request was lowered through well-nested decomposition)."""
-        return result_from_dict(self.payload) if self.payload else None
-
-    @property
-    def schedule(self) -> Schedule | None:
-        """The executable round schedule (a general result's combined plan)."""
-        result = self.result
-        return getattr(result, "combined", result)
-
-    @property
-    def batches(self) -> int:
-        """Well-nested sub-batches this request decomposed into (1 = direct)."""
-        if not self.payload:
-            return 0
-        decompose = self.payload.get("decompose")
-        return int(decompose["n_batches"]) if decompose else 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,6 +223,10 @@ class _Live:
     last_error: str | None = None
 
     @property
+    def cset(self) -> CommunicationSet:
+        return self.request.cset
+
+    @property
     def priority(self) -> Priority:
         return self.request.priority
 
@@ -256,7 +235,7 @@ class _Live:
         return self.request.tenant
 
 
-class StreamingSchedulerService:
+class StreamingSchedulerService(RequestPipeline):
     """Online scheduling over one CST fabric, many tenants, load-aware.
 
     Parameters
@@ -329,21 +308,21 @@ class StreamingSchedulerService:
             raise SchedulingError(f"max_inflight must be >= 1, got {max_inflight}")
         if batch_window < 0:
             raise SchedulingError(f"batch_window must be >= 0, got {batch_window}")
-        if max_retries < 0:
-            raise SchedulingError(f"max_retries must be >= 0, got {max_retries}")
-        self.config = config if config is not None else SchedulerConfig()
+        super().__init__(
+            config=config,
+            cache_size=cache_size,
+            max_retries=max_retries,
+            parity_check=parity_check,
+            fabric=fabric,
+            obs=obs,
+            run="stream",
+        )
         self.max_queue = max_queue
         self.max_inflight = max_inflight
         self.batch_window = batch_window
-        self.max_retries = max_retries
-        self.parity_check = parity_check
-        self.obs = obs
         self.on_tick = on_tick
         self.chaos = chaos
-        self.fabric = fabric
-        metrics = obs.metrics if obs is not None else None
-        run = obs.run if obs is not None else "stream"
-        self.cache = ScheduleCache(cache_size, metrics=metrics, run=run)
+        metrics, run = self.cache.metrics, self.cache.run
         self.admission = AdmissionController(
             thresholds, metrics=metrics, run=run
         )
@@ -355,8 +334,6 @@ class StreamingSchedulerService:
         self.results: dict[int, StreamResult] = {}
         self._next_id = 0
         self._tick = 0
-        self._inline_ready = False
-        self._direct = None  # lazy parity scheduler
         # per-tick deltas feeding the admission controller's LoadSample
         self._expired_delta = 0
         self._failed_delta = 0
@@ -589,18 +566,14 @@ class StreamingSchedulerService:
                 if live.deadline_tick < now:
                     self._inc("stream.expired")
                     self._expired_delta += 1
-                    result = StreamResult(
-                        request_id=live.request_id,
-                        status=StreamStatus.EXPIRED,
-                        tenant=live.tenant,
-                        priority=live.priority,
-                        attempts=live.attempts,
-                        latency_ticks=now - live.release_tick,
-                        error=live.last_error or "deadline exceeded",
-                        signature=live.key.dyck,
+                    expired.append(
+                        self._record(
+                            live,
+                            StreamStatus.EXPIRED,
+                            now,
+                            error=live.last_error or "deadline exceeded",
+                        )
                     )
-                    self.results[live.request_id] = result
-                    expired.append(result)
                 else:
                     keep.append(live)
             if len(keep) != len(tenant.queue):
@@ -611,46 +584,19 @@ class StreamingSchedulerService:
     # -- internals: the drain path -------------------------------------------
 
     def _drain(self, selected: list[_Live], now: int) -> list[StreamResult]:
-        settled: list[StreamResult] = []
+        # 1-2. cache hits settle without touching the execution budget;
+        #      the misses dedup to one leader per placed key.
+        hits, leaders, followers = self._lookup(selected)
+        settled = [
+            self._settle(live, payload, now, from_cache=True)
+            for live, payload in hits
+        ]
 
-        # 1. cache hits settle without touching the execution budget.
-        misses: list[_Live] = []
-        for live in selected:
-            hit = self.cache.get(live.key)
-            if hit is not None:
-                settled.append(self._settle(live, hit, now, from_cache=True))
-            else:
-                misses.append(live)
-
-        # 2. intra-tick dedup: one leader per placed key.
-        leaders: dict[tuple[int, str, str], _Live] = {}
-        followers: dict[tuple[int, str, str], list[_Live]] = {}
-        for live in misses:
-            ck = live.key.cache_key
-            if ck in leaders:
-                followers.setdefault(ck, []).append(live)
-            else:
-                leaders[ck] = live
-
-        # 3. same-shape grouping for the columnar kernel, with the
-        #    latency-budget holdback: a lone columnar-eligible request may
-        #    wait up to batch_window ticks for shape peers, but never into
-        #    its deadline slack.
-        solos: list[_Live] = []
-        groups: dict[tuple[int, str, str], list[_Live]] = {}
-        for live in leaders.values():
-            if self.config.selects_columnar(live.key.n_leaves) and not live.key.general:
-                shape = (live.key.n_leaves, live.key.dyck, live.key.config)
-                groups.setdefault(shape, []).append(live)
-            else:
-                solos.append(live)
-
-        ready_groups: list[list[_Live]] = []
-        for members in groups.values():
-            if len(members) > 1:
-                ready_groups.append(members)
-                continue
-            live = members[0]
+        # 3. same-shape grouping, then the latency-budget holdback: a lone
+        #    columnar-eligible leader may wait up to batch_window ticks for
+        #    shape peers, but never into its deadline slack.
+        solos, lone, groups = self._group(leaders.values())
+        for live in lone:
             waited = now - live.release_tick
             # same boundary convention as _expire: the request is alive
             # at deadline_tick, so slack counts the ticks it can still
@@ -662,19 +608,16 @@ class StreamingSchedulerService:
                 and slack > self.batch_window
             ):
                 # hold for peers; followers of a held leader hold with it.
-                held = [live, *followers.pop(live.key.cache_key, [])]
                 self.tenants.requeue_front(live.tenant, [live])
-                for f in held[1:]:
+                for f in followers.pop(live.key.cache_key, []):
                     self.tenants.requeue_front(f.tenant, [f])
                 self._inc("stream.batch_held")
             else:
                 solos.append(live)
 
-        if ready_groups:
-            self._inc("stream.shape_batches", len(ready_groups))
-            self._inc(
-                "stream.shape_batched", sum(len(g) for g in ready_groups)
-            )
+        if groups:
+            self._inc("stream.shape_batches", len(groups))
+            self._inc("stream.shape_batched", sum(len(g) for g in groups))
 
         # 3b. an armed chaos drill may claim one solo leader: it is
         #     executed against a deliberately faulted fabric (measuring
@@ -691,119 +634,67 @@ class StreamingSchedulerService:
 
         # 4. execute — on the fabric's forest when one is attached
         #    (routed per tenant so a tenant's stream stays on one tree),
-        #    inline otherwise (one process — the streaming service is the
-        #    asyncio story; pooled fan-out stays the batch service's job).
-        responses: list[tuple[int, str, Any]] = []
-        by_id = {live.request_id: live for live in leaders.values()}
+        #    inline otherwise (the streaming service is the asyncio story;
+        #    pooled fan-out stays the batch service's job).
         if self.fabric is not None:
-            to_run = [*solos, *(m for g in ready_groups for m in g)]
-            responses.extend(
-                self.fabric.execute(
-                    [self._work_request(live) for live in to_run],
-                    [self.fabric.route_tenant(live.tenant) for live in to_run],
-                )
+            to_run = [*solos, *(m for g in groups for m in g)]
+            responses = self.fabric.execute(
+                [work_request(live) for live in to_run],
+                [self.fabric.route_tenant(live.tenant) for live in to_run],
             )
         else:
-            if not self._inline_ready:
-                init_worker(self.config.to_dict())
-                self._inline_ready = True
-            if solos:
-                responses.extend(
-                    schedule_request(self._work_request(live)) for live in solos
-                )
-            for members in ready_groups:
-                responses.extend(
-                    schedule_batch_request(
-                        [self._work_request(live) for live in members]
-                    )
-                )
+            responses = self._run(
+                [work_request(live) for live in solos],
+                [[work_request(live) for live in g] for g in groups],
+            )
 
-        # 5. settlement mirrors the batch service's status discipline.
-        for rid, status, payload in responses:
-            live = by_id[rid]
-            live.attempts += 1
-            tail = followers.pop(live.key.cache_key, [])
-            if status == "ok":
-                self.cache.put(live.key, payload)
-                settled.append(self._settle(live, payload, now, from_cache=False))
-                for f in tail:
-                    hit = self.cache.get(f.key)
-                    assert hit is not None
-                    settled.append(self._settle(f, hit, now, from_cache=True))
-            elif status == "permanent":
-                for q in (live, *tail):
-                    settled.append(self._fail(q, str(payload), now))
-            elif live.attempts > self.max_retries:
-                settled.append(self._fail(live, str(payload), now))
-                for f in tail:  # followers retry on their own budget
-                    self.tenants.requeue_front(f.tenant, [f])
-            else:
-                self._inc("stream.retries")
-                self._retries_delta += 1
-                live.last_error = str(payload)
-                live.eligible_tick = now + (1 << (live.attempts - 1))
+        # 5. the settlement ladder, shared with the batch service.
+        for live, outcome, value in self._ladder(
+            responses, leaders, followers, now
+        ):
+            if outcome == "failed":
+                settled.append(self._fail(live, value, now))
+            elif outcome in ("retry", "requeue"):
+                if outcome == "retry":
+                    self._inc("stream.retries")
+                    self._retries_delta += 1
                 self.tenants.requeue_front(live.tenant, [live])
-                for f in tail:
-                    self.tenants.requeue_front(f.tenant, [f])
+            else:
+                settled.append(
+                    self._settle(live, value, now, from_cache=outcome == "cached")
+                )
         return settled
-
-    @staticmethod
-    def _work_request(live: _Live) -> WorkRequest:
-        return (live.request_id, live.payload, live.key.n_leaves)
 
     def _settle(
         self, live: _Live, payload: dict[str, Any], now: int, *, from_cache: bool
     ) -> StreamResult:
-        if self.parity_check:
-            self._assert_parity(live, payload)
+        self._deliver(live, payload)
         self._inc("stream.done")
-        decompose = payload.get("decompose")
-        if decompose is not None:
-            self._inc("decompose.requests")
-            self._inc("decompose.batches", int(decompose.get("n_batches", 1)))
-        latency = now - live.release_tick
-        self._observe_latency(latency, live.priority)
-        result = StreamResult(
-            request_id=live.request_id,
-            status=StreamStatus.DONE,
-            tenant=live.tenant,
-            priority=live.priority,
-            from_cache=from_cache,
-            attempts=live.attempts,
-            latency_ticks=latency,
-            payload=payload,
-            signature=live.key.dyck,
+        self._observe_latency(now - live.release_tick, live.priority)
+        return self._record(
+            live, StreamStatus.DONE, now, from_cache=from_cache, payload=payload
         )
-        self.results[live.request_id] = result
-        return result
 
     def _fail(self, live: _Live, error: str, now: int) -> StreamResult:
         self._inc("stream.failed")
         self._failed_delta += 1
+        return self._record(live, StreamStatus.FAILED, now, error=error)
+
+    def _record(
+        self, live: _Live, status: StreamStatus, now: int, **fields: Any
+    ) -> StreamResult:
         result = StreamResult(
             request_id=live.request_id,
-            status=StreamStatus.FAILED,
+            status=status,
             tenant=live.tenant,
             priority=live.priority,
             attempts=live.attempts,
             latency_ticks=now - live.release_tick,
-            error=error,
             signature=live.key.dyck,
+            **fields,
         )
         self.results[live.request_id] = result
         return result
-
-    def _assert_parity(self, live: _Live, payload: dict[str, Any]) -> None:
-        if self._direct is None:
-            self._direct = self.config.build()
-        direct = result_to_dict(
-            self._direct.schedule(live.request.cset, n_leaves=live.key.n_leaves)
-        )
-        if direct != payload:
-            raise ServiceParityError(
-                f"request {live.request_id}: streamed schedule diverged from "
-                f"the direct scheduler (signature {live.key.dyck!r})"
-            )
 
     # -- internals: the admission feedback loop ------------------------------
 
@@ -826,14 +717,6 @@ class StreamingSchedulerService:
         self.last_load = sample
 
     # -- metrics helpers -----------------------------------------------------
-
-    def _inc(self, name: str, amount: int = 1) -> None:
-        if self.obs is not None and amount:
-            self.obs.metrics.inc(name, amount, run=self.obs.run)
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.obs is not None:
-            self.obs.metrics.set(name, value, run=self.obs.run)
 
     def _observe_latency(self, latency: int, priority: Priority) -> None:
         if self.obs is not None:

@@ -1,14 +1,14 @@
-"""The multiprocessing side of the service: pure-payload workers.
+"""The worker side of every process boundary: pure-payload functions.
 
 Nothing rich crosses the process boundary.  A request ships as
 ``(ticket_id, cset payload, n_leaves)`` where the payload is
 :func:`repro.io.cset_to_dict` output; the response comes back as
 ``(ticket_id, status, payload)`` where the payload is
-:func:`repro.io.schedule_to_dict` output on success or an error string
-otherwise.  Workers rebuild their scheduler once, in the pool
-initializer, from a :class:`~repro.core.config.SchedulerConfig` dict —
-the single config object the service forwards — so every worker schedules
-under exactly the configuration the caller selected.
+:func:`repro.io.result_to_dict` output on success or an error string
+otherwise.  A worker builds its scheduler once, in :func:`init_worker`,
+from a :class:`~repro.core.config.SchedulerConfig` dict — the single
+config object the caller forwards — so every worker schedules under
+exactly the configuration the caller selected.
 
 Status discrimination mirrors the recovery subsystem's split: a
 :class:`~repro.exceptions.ReproError` means the *request* is bad
@@ -17,9 +17,10 @@ Status discrimination mirrors the recovery subsystem's split: a
 infrastructure trouble and left to the service's retry/backoff loop
 (status ``"transient"``).
 
-The same function doubles as the in-process executor when the service
-runs with ``workers <= 1``, so the sequential path and the pooled path
-are one code path with one behaviour.
+:class:`~repro.service.pipeline.WorkerExecutor` calls these functions in
+a forked pool worker or, in its inline mode, in the caller's own process
+on :data:`_worker_scheduler` — the pooled and the in-process paths are
+one code path with one behaviour.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _worker_config: SchedulerConfig | None = None
 
 
 def init_worker(config_data: dict[str, Any]) -> None:
-    """Pool initializer: build this worker's scheduler once.
+    """Install this process's scheduler (the pool initializer).
 
     The config round-trips the same ``io``-level dict form the service
     ships across the process boundary, so engine selection (columnar /
@@ -107,9 +108,10 @@ def schedule_batch_request(requests: list[WorkRequest]) -> list[WorkResponse]:
 def schedule_many(requests: list[WorkRequest]) -> list[WorkResponse]:
     """Schedule a *heterogeneous* batch in one worker call.
 
-    The fabric layer ships one wave's worth of requests to each shard as
-    a single pickled call (one IPC round-trip per shard per wave, not per
-    request).  Unlike :func:`schedule_batch_request` the requests need
-    not share a shape; each settles independently with its own status.
+    The executor ships a wave's solo requests as one pickled call per
+    worker — per fabric shard, per pool worker — so a wave costs one IPC
+    round trip per worker, not per request.  Unlike
+    :func:`schedule_batch_request` the requests need not share a shape;
+    each settles independently with its own status.
     """
     return [schedule_request(r) for r in requests]

@@ -121,12 +121,12 @@ class TestExecute:
         # runs on a fresh worker.
         with FabricController(2, 8, shard_timeout=5.0) as fab:
             fab.execute([work(cs((0, 1)), 8, 0)], [0])  # spawn the pool
-            victim = next(iter(fab._pools[0]._processes))
+            victim = next(iter(fab._executors[0]._pool._processes))
             os.kill(victim, signal.SIGKILL)
             out = fab.execute([work(cs((0, 1)), 8, 1)], [0])
             assert out == [(1, "transient", out[0][2])]
             assert "failure" in out[0][2]
-            assert 0 not in fab._pools
+            assert fab._executors[0]._pool is None
             retry = fab.execute([work(cs((0, 1)), 8, 1)], [0])
             assert retry[0][1] == "ok"
 
@@ -195,7 +195,7 @@ class TestMetricsAndLifecycle:
             fab.execute([work(cs((0, 1)), 8)], [0])
         fab.close()
         fab.terminate()
-        assert fab._pools == {}
+        assert all(e._pool is None for e in fab._executors)
 
     def test_stats_snapshot(self):
         fab = FabricController(2, 8, parallel=False)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.service.service as service_mod
+import repro.service.worker as worker_mod
 from repro.comms.communication import Communication, CommunicationSet
 from repro.core.config import SchedulerConfig
 from repro.core.csa import PADRScheduler
@@ -46,7 +47,7 @@ class TestParity:
 
     def test_parity_violation_raises(self, batch, monkeypatch):
         svc = SchedulerService(workers=1, parity_check=True)
-        real = service_mod.schedule_request
+        real = worker_mod.schedule_request
 
         def corrupting(request):
             ticket_id, status, payload = real(request)
@@ -54,7 +55,7 @@ class TestParity:
                 payload = dict(payload, n_leaves=payload["n_leaves"] * 2)
             return (ticket_id, status, payload)
 
-        monkeypatch.setattr(service_mod, "schedule_request", corrupting)
+        monkeypatch.setattr(worker_mod, "schedule_request", corrupting)
         svc.submit(batch[0], n_leaves=32)
         with pytest.raises(ServiceParityError):
             svc.drain()
@@ -69,14 +70,14 @@ class TestCaching:
 
     def test_intra_batch_duplicates_computed_once(self, monkeypatch):
         workload = cs((0, 3), (1, 2))
-        real = service_mod.schedule_request
+        real = worker_mod.schedule_request
         calls = []
 
         def counting(request):
             calls.append(request[0])
             return real(request)
 
-        monkeypatch.setattr(service_mod, "schedule_request", counting)
+        monkeypatch.setattr(worker_mod, "schedule_request", counting)
         with SchedulerService(workers=1) as svc:
             report = svc([workload, workload, workload], n_leaves=8)
         assert report.n_done == 3
@@ -129,7 +130,7 @@ class TestAdmission:
 class TestRetryAndDeadlines:
     def _flaky(self, monkeypatch, fail_times: int):
         """Make the worker fail transiently ``fail_times`` times per ticket."""
-        real = service_mod.schedule_request
+        real = worker_mod.schedule_request
         failures: dict[int, int] = {}
 
         def flaky(request):
@@ -140,7 +141,7 @@ class TestRetryAndDeadlines:
                 return (ticket_id, "transient", "injected fault")
             return real(request)
 
-        monkeypatch.setattr(service_mod, "schedule_request", flaky)
+        monkeypatch.setattr(worker_mod, "schedule_request", flaky)
 
     def test_transient_failures_retry_with_backoff(self, monkeypatch):
         self._flaky(monkeypatch, fail_times=2)
@@ -173,14 +174,14 @@ class TestRetryAndDeadlines:
         assert result.wait_ticks > 3
 
     def test_permanent_failure_not_retried(self, monkeypatch):
-        real = service_mod.schedule_request
+        real = worker_mod.schedule_request
         calls = []
 
         def permanent(request):
             calls.append(request[0])
             return (request[0], "permanent", "bad request")
 
-        monkeypatch.setattr(service_mod, "schedule_request", permanent)
+        monkeypatch.setattr(worker_mod, "schedule_request", permanent)
         svc = SchedulerService(workers=1, max_retries=5)
         svc.submit(cs((0, 3)), n_leaves=8)
         report = svc.drain()
@@ -291,21 +292,21 @@ class TestSameShapeBatching:
         assert got == expected
 
 
+_real_schedule_request = worker_mod.schedule_request
+
+
 def _crash_worker_once(request):
     """Worker-side crash injector for the pool-lifecycle regression.
 
     The first worker to run exits the interpreter abruptly (after dropping
-    a marker so the retry wave behaves); ``Pool.map`` then sits on the lost
-    task until the service's ``pool_timeout`` converts it into the
-    transient path.
+    a marker so the retry wave behaves); the executor sees the dead worker
+    and converts the wave into the transient path.
     """
     import os
 
     marker = os.environ["CST_PADR_CRASH_MARKER"]
     if os.path.exists(marker):
-        from repro.service.worker import schedule_request
-
-        return schedule_request(request)
+        return _real_schedule_request(request)
     open(marker, "w").close()
     os._exit(1)
 
@@ -316,8 +317,9 @@ class TestPoolLifecycle:
 
     def test_failed_drain_leaves_no_live_workers(self, batch, monkeypatch):
         svc = SchedulerService(workers=2, parity_check=True)
+        svc([cs((0, 1))], n_leaves=32)  # forks the pool
         svc.submit_many(batch, n_leaves=32)
-        procs = list(svc._ensure_pool()._pool)
+        procs = list(svc._executor._pool._processes.values())
         assert all(p.is_alive() for p in procs)
 
         def blown_parity(p, payload):
@@ -326,7 +328,7 @@ class TestPoolLifecycle:
         monkeypatch.setattr(svc, "_assert_parity", blown_parity)
         with pytest.raises(service_mod.ServiceParityError):
             svc.drain()
-        assert svc._pool is None
+        assert svc._executor._pool is None
         for p in procs:
             p.join(timeout=10)
             assert not p.is_alive()
@@ -336,7 +338,7 @@ class TestPoolLifecycle:
     ):
         marker = tmp_path / "crashed"
         monkeypatch.setenv("CST_PADR_CRASH_MARKER", str(marker))
-        monkeypatch.setattr(service_mod, "schedule_request", _crash_worker_once)
+        monkeypatch.setattr(worker_mod, "schedule_request", _crash_worker_once)
         reg = MetricsRegistry()
         svc = SchedulerService(
             workers=2,
@@ -352,7 +354,7 @@ class TestPoolLifecycle:
 
         snap = reg.snapshot()
         assert snap["counters"][metric_key("service.pool.broken", {"run": "t"})] == 1
-        assert svc._pool is None  # close() ran; nothing left behind
+        assert svc._executor._pool is None  # close() ran; nothing left behind
 
     def test_close_after_crash_is_clean(self, monkeypatch, tmp_path):
         # the abort path must leave the service reusable *and* closeable.
@@ -362,6 +364,6 @@ class TestPoolLifecycle:
         svc = SchedulerService(workers=2, pool_timeout=5.0)
         svc.submit(cs((0, 1)), n_leaves=4)
         svc.drain()
-        svc._abort_pool()
-        assert svc._pool is None
+        svc._executor.abort()
+        assert svc._executor._pool is None
         svc.close()  # idempotent after an abort

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.service.streaming as streaming_mod
+import repro.service.worker as worker_mod
 from repro.comms.communication import Communication, CommunicationSet
 from repro.core.config import SchedulerConfig
 from repro.core.csa import PADRScheduler
@@ -319,7 +319,7 @@ class TestDeadlinesAndRetries:
     def test_transient_failure_retries_with_backoff_then_succeeds(
         self, monkeypatch
     ):
-        real = streaming_mod.schedule_request
+        real = worker_mod.schedule_request
         calls = {"n": 0}
 
         def flaky(request):
@@ -328,7 +328,7 @@ class TestDeadlinesAndRetries:
                 return (request[0], "transient", "induced")
             return real(request)
 
-        monkeypatch.setattr(streaming_mod, "schedule_request", flaky)
+        monkeypatch.setattr(worker_mod, "schedule_request", flaky)
         svc = StreamingSchedulerService(default_quota=roomy_quota())
         svc.submit(StreamRequest(cset=cs((0, 1)), n_leaves=8, deadline=50))
         report = svc.run()
@@ -338,7 +338,7 @@ class TestDeadlinesAndRetries:
 
     def test_retry_budget_exhaustion_fails(self, monkeypatch):
         monkeypatch.setattr(
-            streaming_mod,
+            worker_mod,
             "schedule_request",
             lambda request: (request[0], "transient", "always down"),
         )
@@ -354,7 +354,7 @@ class TestDeadlinesAndRetries:
 
     def test_permanent_failure_does_not_retry(self, monkeypatch):
         monkeypatch.setattr(
-            streaming_mod,
+            worker_mod,
             "schedule_request",
             lambda request: (request[0], "permanent", "unschedulable"),
         )
@@ -450,7 +450,7 @@ class TestDrainPath:
             assert report.results[rid].payload == expected
 
     def test_parity_violation_raises(self, monkeypatch):
-        real = streaming_mod.schedule_request
+        real = worker_mod.schedule_request
 
         def corrupting(request):
             rid, status, payload = real(request)
@@ -458,7 +458,7 @@ class TestDrainPath:
                 payload = dict(payload, n_leaves=payload["n_leaves"] * 2)
             return (rid, status, payload)
 
-        monkeypatch.setattr(streaming_mod, "schedule_request", corrupting)
+        monkeypatch.setattr(worker_mod, "schedule_request", corrupting)
         svc = StreamingSchedulerService(
             parity_check=True, default_quota=roomy_quota()
         )
