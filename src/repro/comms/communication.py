@@ -83,7 +83,7 @@ class CommunicationSet:
     :mod:`repro.comms.wellnested` (and demanded by the core scheduler).
     """
 
-    __slots__ = ("_comms",)
+    __slots__ = ("_comms", "_max_pe")
 
     def __init__(self, comms: Iterable[Communication]) -> None:
         ordered = tuple(sorted(comms))
@@ -96,6 +96,7 @@ class CommunicationSet:
                     )
                 seen.add(endpoint)
         self._comms = ordered
+        self._max_pe = max(seen, default=-1)
 
     # -- container protocol ------------------------------------------------
 
@@ -131,7 +132,7 @@ class CommunicationSet:
 
     @property
     def is_right_oriented(self) -> bool:
-        return all(c.right_oriented for c in self._comms)
+        return all(c.src < c.dst for c in self._comms)
 
     @property
     def is_left_oriented(self) -> bool:
@@ -140,7 +141,7 @@ class CommunicationSet:
     @property
     def max_pe(self) -> int:
         """Largest PE index used (``-1`` for the empty set)."""
-        return max((c.rightmost for c in self._comms), default=-1)
+        return self._max_pe
 
     def min_leaves(self) -> int:
         """Smallest power-of-two CST that can host this set."""

@@ -45,40 +45,27 @@ def parenthesis_profile(cset: CommunicationSet, n_leaves: int | None = None) -> 
     return "".join(chars)
 
 
-def _stack_matching(cset: CommunicationSet) -> dict[int, int] | None:
-    """Stack-match the profile; return src→dst mapping or None if unbalanced."""
-    events: list[tuple[int, bool]] = []  # (pe, is_source)
-    for c in cset:
-        events.append((c.src, True))
-        events.append((c.dst, False))
-    events.sort()
-    stack: list[int] = []
-    matched: dict[int, int] = {}
-    for pe, is_source in events:
-        if is_source:
-            stack.append(pe)
-        else:
-            if not stack:
-                return None
-            matched[stack.pop()] = pe
-    if stack:
-        return None
-    return matched
-
-
 def is_well_nested(cset: CommunicationSet) -> bool:
     """True iff the set is right-oriented and well-nested.
 
     Well-nested means the parenthesis word is balanced and the balanced
     matching coincides with the set's own pairing — i.e. no two
-    communications "cross" (partially overlap).
+    communications "cross" (partially overlap).  One sweep over the
+    communications in source order (the set's stored order) checks both
+    with a stack of the open intervals' destinations: each new interval
+    must close before the innermost interval still open around it.
     """
-    if not cset.is_right_oriented:
-        return False
-    matched = _stack_matching(cset)
-    if matched is None:
-        return False
-    return matched == dict(cset.partner_of())
+    open_dsts: list[int] = []
+    for c in cset.comms:
+        src, dst = c.src, c.dst
+        if dst < src:
+            return False  # left-oriented
+        while open_dsts and open_dsts[-1] < src:
+            open_dsts.pop()
+        if open_dsts and open_dsts[-1] < dst:
+            return False  # the enclosing interval ends inside this one
+        open_dsts.append(dst)
+    return True
 
 
 def require_well_nested(cset: CommunicationSet) -> CommunicationSet:

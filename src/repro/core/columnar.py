@@ -1,45 +1,49 @@
-"""Columnar struct-of-arrays execution of the CSA.
+"""The CSA's columnar kernel: state of live switches only, one walk per round.
 
-The fast-path engine still walks per-switch Python objects wave by wave:
-every round is a DFS over ``StoredState`` dataclasses and ``DownWord``
-flyweights.  This module re-expresses both CSA phases over parallel numpy
-arrays indexed by flat heap id, so that
+The fast-path engine walks per-switch Python objects wave by wave: every
+round is a DFS over ``StoredState`` dataclasses and ``DownWord``
+flyweights, and every staged connection goes through a ``Switch`` object
+and the network's payload tracer.  This module runs both CSA phases
+without them:
 
-* Phase 1 is the batched form of the level-synchronous reduction in
-  :func:`repro.core.phase1.run_phase1_vectorized` (one extra leading axis
-  for the batch element);
-* each Phase-2 round processes the live frontier one tree level at a time:
-  the four CONFIGURE cases of :func:`repro.core.phase2.configure` become
-  masked vector updates over the frontier's word columns, and crossbar
-  staging/power charging become gather/scatter passes grouped by the
-  thirteen possible connection tuples.
+* Phase 1 builds each element's
+  :class:`~repro.core.phase1.Phase1Counters` — plain ``heap id -> int``
+  dicts that hold live switches only — from its roles' matching, pair by
+  pair along the pairs' paths (:meth:`Phase1Counters.from_roles`), so it
+  too costs time in proportion to the switches it touches.
+* Each Phase-2 round is one pure-Python walk over the live frontier of
+  every live element, parent before child and level by level.  CONFIGURE
+  (the four cases of :func:`repro.core.phase2.configure`), crossbar
+  staging, power charging and the leaves' checks all happen at the switch
+  the walk is visiting, and crossbars, power units and change counts are
+  dicts over the switches that were ever staged.  A round therefore costs
+  time in proportion to the switches it touches — Theorem 5's O(1) per
+  switch per round — and no step sweeps the tree.
 
-Level-synchronous processing is equivalent to the engine's DFS walk:
-CONFIGURE mutates only the receiving switch's own counters, words flow
-strictly parent to child, and the frontier-pruning predicate for a child
-reads ``pending`` of that child's *own* subtree — which no switch outside
-the subtree can have decremented before the child is visited (ancestors are
-visited first; descendants only through the child).  Pending decrements may
-therefore be applied in one batch at the end of each round.
+Level order is equivalent to the engine's DFS walk: CONFIGURE mutates only
+the receiving switch's own counters, words flow strictly parent to child,
+and the frontier-pruning predicate for a child reads ``pending`` of that
+child's *own* subtree, which no switch outside the subtree can have
+decremented before the child is visited (ancestors are visited first;
+descendants only through the child).
 
-Instead of tracing payloads through committed crossbars, the kernel pairs
-writers with receivers by a *circuit id* threaded through the word columns:
-the id travels with the source request to its writer leaf and with the
+Instead of tracing payloads through committed crossbars, the walk pairs
+writers with receivers by a *circuit id* threaded through the words: the
+id travels with the source request to its writer leaf and with the
 destination request to its receiver leaf.  On a healthy network every hop
 of a carved circuit is freshly staged in the same round, so the physical
 trace necessarily connects exactly these two leaves; the id is internal
 bookkeeping, not extra information on the wire (words still carry
 ``[kind, x_s, x_d]`` and leaves still receive rank zero).
 
-The kernel executes ``B`` independent same-tree communication sets at once
-(struct-of-arrays over ``(element, heap id)``), which is what
-:func:`schedule_batch` and the service layer's same-shape grouping exploit;
-``B == 1`` is the single-schedule fast path behind
-:class:`~repro.cst.engine.ColumnarWaveEngine`.
+The kernel executes ``B`` independent same-tree communication sets, one
+walk per live element per round, which is what :func:`schedule_batch`
+and the service layer's same-shape grouping use; ``B == 1`` is the
+single-schedule path behind :class:`~repro.cst.engine.ColumnarWaveEngine`.
 
 Bit-identical parity with the scalar engines is the contract: schedules,
-power bills and logical control accounting all match; only wall-clock time
-differs.  The differential property tests in
+power bills and logical and physical control accounting all match; only
+wall-clock time differs.  The differential property tests in
 ``tests/properties/test_property_columnar.py`` enforce this.
 """
 
@@ -47,11 +51,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.comms.communication import Communication, CommunicationSet
 from repro.comms.wellnested import require_well_nested
 from repro.core.control import UpWord
+from repro.core.phase1 import Phase1Counters
 from repro.core.schedule import RoundRecord, Schedule
 from repro.cst.power import PowerPolicy, PowerReport
 from repro.exceptions import ProtocolError, SchedulingError
@@ -81,7 +84,7 @@ K_NONE, K_SRC, K_DST, K_BOTH = 0, 1, 2, 3
 
 _KIND_STR = ("[null,null]", "[s,null]", "[d,null]", "[s,d]")
 
-#: in-port axis of the columnar crossbar: l_i, r_i, p_i.
+#: in-port index of a crossbar row: l_i, r_i, p_i.
 _IN_L, _IN_R, _IN_P = 0, 1, 2
 #: out-port codes: 0 = unconnected, then l_o, r_o, p_o.
 _OUT_NONE, _OUT_L, _OUT_R, _OUT_P = 0, 1, 2, 3
@@ -113,35 +116,60 @@ _CONN_PORTS: dict[Connection, tuple[int, int]] = {
     CONN_DOWN_R: (_IN_P, _OUT_R),
 }
 
-_COMBO_PORTS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-    tuple(_CONN_PORTS[c] for c in combo) for combo in _COMBOS
-)
-
 _IN_PORTS = (InPort.L, InPort.R, InPort.P)
 _OUT_BY_CODE = {_OUT_L: OutPort.L, _OUT_R: OutPort.R, _OUT_P: OutPort.P}
 
 
-def _connections_of(row: np.ndarray) -> list[Connection]:
-    """Decode one switch's columnar crossbar row back into connections."""
-    return [
-        Connection(_IN_PORTS[i], _OUT_BY_CODE[int(code)])
-        for i, code in enumerate(row)
-        if code
-    ]
+def _row(code: int) -> list[int]:
+    """Unpack a crossbar code ``l + 4r + 16p`` into its out-code per in-port."""
+    return [code & 3, (code >> 2) & 3, code >> 4]
 
 
-#: decoded ``SwitchConfiguration`` per packed crossbar row (l + 4r + 16p).
-#: Configurations are immutable value objects, so one instance per distinct
-#: row can be shared across every switch written back.
+def _stage(code: int, combo: int) -> int:
+    """Stage ``combo`` on crossbar ``code``: ``new_code << 2 | charged``.
+
+    Lazy displacement as in ``SwitchConfiguration.with_connection``: an
+    in-port already driving a requested output loses its connection.  A
+    connection is charged when its in-port did not already drive its
+    output, which is exactly ``Switch.commit_round``'s ``new - old``.
+    """
+    row = _row(code)
+    charged = 0
+    for conn in _COMBOS[combo]:
+        in_idx, out_code = _CONN_PORTS[conn]
+        if row[in_idx] != out_code:
+            charged += 1
+        for other in (_IN_L, _IN_R, _IN_P):
+            if other != in_idx and row[other] == out_code:
+                row[other] = _OUT_NONE
+        row[in_idx] = out_code
+    return (row[0] + 4 * row[1] + 16 * row[2]) << 2 | charged
+
+
+#: every crossbar transition, indexed by ``code << 4 | combo``.
+_STAGED = tuple(
+    _stage(code, combo) if combo < len(_COMBOS) else 0
+    for code in range(64)
+    for combo in range(16)
+)
+
+#: decoded ``SwitchConfiguration`` per crossbar code.  Configurations are
+#: immutable value objects, so one instance per distinct code can be
+#: shared across every switch written back.
 _CFG_CACHE: dict[int, Any] = {}
 
 
-def _cached_config(code: int, row: np.ndarray) -> Any:
+def _config_of(code: int) -> Any:
     conf = _CFG_CACHE.get(code)
     if conf is None:
         from repro.cst.switch import SwitchConfiguration
 
-        conf = _CFG_CACHE.setdefault(code, SwitchConfiguration(_connections_of(row)))
+        conns = [
+            Connection(_IN_PORTS[i], _OUT_BY_CODE[out])
+            for i, out in enumerate(_row(code))
+            if out
+        ]
+        conf = _CFG_CACHE.setdefault(code, SwitchConfiguration(conns))
     return conf
 
 
@@ -171,32 +199,24 @@ class _RoundStats:
 class ColumnarRun:
     """One batched CSA execution over ``B`` same-tree communication sets.
 
-    Array schema (``n`` leaves, ``B`` batch elements; flat views are the
-    2-D arrays reshaped, indexed by ``b * n + v`` or ``b * 2n + node``):
+    Per element ``b`` (lists indexed by ``b``, dicts keyed by heap id):
 
-    ==============  =========  ==================================================
-    array           shape      contents
-    ==============  =========  ==================================================
-    ``m..t5``       (B, n)     the five ``C_S`` counters per switch
-    ``pending``     (B, 2n)    subtree still-unscheduled matched totals
-    ``srcs/dsts``   (B, 2n)    leaf slots ``[n:]`` keep the original role bits
-    ``cfg``         (B*n, 3)   crossbar out-code per in-port (l_i, r_i, p_i)
-    ``units``       (B*n,)     accumulated power units per switch
-    ``changes``     (B*n,)     configuration-change count per switch
-    ``commits``     (B*n,)     rounds in which the switch was staged
-    ==============  =========  ==================================================
+    ================  ====================================================
+    attribute         contents
+    ================  ====================================================
+    ``counters[b]``   the :class:`~repro.core.phase1.Phase1Counters`
+                      Phase 2 drains: five ``C_S`` counters and the
+                      subtree ``pending`` totals of the live switches
+    ``cfg[b]``        crossbar code ``l + 4r + 16p`` (out-code per
+                      in-port l_i, r_i, p_i) of every switch ever staged
+    ``units[b]``      accumulated power units per charged switch
+    ``changes[b]``    configuration-change count per changed switch
+    ================  ====================================================
 
-    Levels whose frontier holds at most :attr:`SCALAR_CUTOFF` entries are
-    processed by a plain-Python loop over the same arrays
-    (:meth:`_level_scalar`) — below that size numpy's per-call overhead
-    exceeds the whole level's work.  Both paths implement identical
-    arithmetic in identical order, so results are bit-identical regardless
-    of where the cutoff lands (property-tested with the cutoff forced to
-    0 and to ``inf``).
+    Nothing is sized by the tree: every step reads and writes only these
+    dicts.  ``phase1`` supplies pristine counters per element (the
+    scheduler's reuse cache) instead of running Phase 1.
     """
-
-    #: frontier size at/below which a level runs the scalar loop.
-    SCALAR_CUTOFF = 64
 
     def __init__(
         self,
@@ -205,31 +225,40 @@ class ColumnarRun:
         *,
         policy: PowerPolicy,
         strict: bool = True,
+        phase1: Sequence[Phase1Counters] | None = None,
     ) -> None:
         if n_leaves < 2 or n_leaves & (n_leaves - 1):
             raise SchedulingError(
                 f"columnar kernel requires a power-of-two leaf count, got {n_leaves}"
             )
         self.n = n_leaves
-        self.B = len(roles_per_element)
+        self.B = B = len(roles_per_element)
         self.height = n_leaves.bit_length() - 1
         self.strict = strict
-        self.scalar_cutoff = self.SCALAR_CUTOFF
-        self.unit_cost = policy.unit_cost
         base = policy.wire_weight_base
-        #: per-switch H-tree wire weight, ``base ** (height - level)``.
-        self.weight = np.ones(n_leaves, dtype=np.int64)
-        if base != 1:
-            for lvl in range(self.height):
-                self.weight[1 << lvl : 2 << lvl] = base ** (self.height - lvl)
-        self._phase1(roles_per_element)
-        B, n = self.B, self.n
-        self.cfg = np.zeros((B * n, 3), dtype=np.int8)
-        self.units = np.zeros(B * n, dtype=np.int64)
-        self.changes = np.zeros(B * n, dtype=np.int64)
-        self.commits = np.zeros(B * n, dtype=np.int64)
+        #: connection cost per tree level: the H-tree wire weight
+        #: ``base ** (height - level)`` times the unit cost.
+        self.level_cost = [
+            policy.unit_cost * base ** (self.height - lvl)
+            for lvl in range(self.height)
+        ]
+        self.sources = [
+            {pe for pe, role in roles.items() if role is Role.SOURCE}
+            for roles in roles_per_element
+        ]
+        self.destinations = [
+            {pe for pe, role in roles.items() if role is Role.DESTINATION}
+            for roles in roles_per_element
+        ]
+        if phase1 is None:
+            self._phase1(roles_per_element)
+        else:
+            self.counters = [c.copy() for c in phase1]
+        self.cfg: list[dict[int, int]] = [{} for _ in range(B)]
+        self.units: list[dict[int, int]] = [{} for _ in range(B)]
+        self.changes: list[dict[int, int]] = [{} for _ in range(B)]
         self.rounds_by_element: list[list[RoundRecord]] = [[] for _ in range(B)]
-        self.physical_total = np.zeros(B, dtype=np.int64)
+        self.physical_total = [0] * B
         #: leaves that have written / latched, for obligation checks.
         self._w_done: list[set[int]] = [set() for _ in range(B)]
         self._r_done: list[set[int]] = [set() for _ in range(B)]
@@ -237,956 +266,310 @@ class ColumnarRun:
     # -- Phase 1 ---------------------------------------------------------------
 
     def _phase1(self, roles_per_element: Sequence[Mapping[int, Role]]) -> None:
-        n, B = self.n, self.B
-        srcs = np.zeros((B, 2 * n), dtype=np.int64)
-        dsts = np.zeros((B, 2 * n), dtype=np.int64)
-        for b, roles in enumerate(roles_per_element):
-            for pe, role in roles.items():
-                if role is Role.SOURCE:
-                    srcs[b, n + pe] = 1
-                elif role is Role.DESTINATION:
-                    dsts[b, n + pe] = 1
-        m = np.zeros((B, n), dtype=np.int64)
-        t4 = np.zeros((B, n), dtype=np.int64)
-        t3 = np.zeros((B, n), dtype=np.int64)
-        t2 = np.zeros((B, n), dtype=np.int64)
-        t5 = np.zeros((B, n), dtype=np.int64)
-        for lvl in range(self.height - 1, -1, -1):
-            lo, hi = 1 << lvl, 2 << lvl
-            s_l, s_r = srcs[:, 2 * lo : 2 * hi : 2], srcs[:, 2 * lo + 1 : 2 * hi : 2]
-            d_l, d_r = dsts[:, 2 * lo : 2 * hi : 2], dsts[:, 2 * lo + 1 : 2 * hi : 2]
-            mm = np.minimum(s_l, d_r)  # Lemma 1
-            m[:, lo:hi] = mm
-            t4[:, lo:hi] = s_l - mm
-            t3[:, lo:hi] = d_l
-            t2[:, lo:hi] = s_r
-            t5[:, lo:hi] = d_r - mm
-            srcs[:, lo:hi] = s_l - mm + s_r
-            dsts[:, lo:hi] = d_l + d_r - mm
-        unbalanced = (srcs[:, 1] != 0) | (dsts[:, 1] != 0)
-        if unbalanced.any():
-            b = int(np.argmax(unbalanced))
-            raise ProtocolError(
-                f"unbalanced communication set: root would forward "
-                f"{UpWord(int(srcs[b, 1]), int(dsts[b, 1]))} to a non-existent "
-                "parent (some endpoint has no partner)"
-            )
-        pending = np.zeros((B, 2 * n), dtype=np.int64)
-        for lvl in range(self.height - 1, -1, -1):
-            lo, hi = 1 << lvl, 2 << lvl
-            acc = m[:, lo:hi].copy()
-            if 2 * lo < n:  # children are switches
-                acc += pending[:, 2 * lo : 2 * hi : 2]
-                acc += pending[:, 2 * lo + 1 : 2 * hi : 2]
-            pending[:, lo:hi] = acc
-        #: the five C_S counters stacked as one (5, B, n) block so the
-        #: scalar level path can gather/scatter them in a single call;
-        #: ``self.m`` .. ``self.t5`` are contiguous views into it.
-        self.cnt = np.stack((m, t4, t3, t2, t5))
-        self.m, self.t4, self.t3, self.t2, self.t5 = self.cnt
-        self.pending = pending
-        self.srcs, self.dsts = srcs, dsts
-
-    def live_switch_counts(self) -> np.ndarray:
-        """Per-element number of switches with any non-zero counter."""
-        total = self.m + self.t4 + self.t3 + self.t2 + self.t5
-        return np.count_nonzero(total, axis=1)
-
-    def phase1_snapshot(self) -> tuple[np.ndarray, ...]:
-        """Pristine copies for the scheduler's ``reuse_phase1`` cache."""
-        return (self.cnt.copy(), self.pending.copy())
-
-    def restore_phase1(self, snapshot: tuple[np.ndarray, ...]) -> None:
-        cnt, pending = snapshot
-        self.cnt = cnt.copy()
-        self.m, self.t4, self.t3, self.t2, self.t5 = self.cnt
-        self.pending = pending.copy()
+        self.counters = [
+            Phase1Counters.from_roles(self.n, roles) for roles in roles_per_element
+        ]
 
     # -- Phase 2 ---------------------------------------------------------------
 
     @property
-    def live_elements(self) -> np.ndarray:
+    def live_elements(self) -> list[int]:
         """Elements whose root still reports unscheduled matched pairs."""
-        return np.nonzero(self.pending[:, 1] > 0)[0]
+        return [b for b, c in enumerate(self.counters) if c.pending.get(1, 0) > 0]
 
-    def run_round(self, live: np.ndarray) -> list[_RoundStats]:
+    def run_round(self, live: Iterable[int]) -> list[_RoundStats]:
         """One Phase-2 down-wave over every element in ``live``.
 
         Returns per-live-element stats, aligned with ``live``; the round
         records themselves are appended to :attr:`rounds_by_element`.
         """
-        n, B = self.n, self.B
-        two_n = 2 * n
-        mf = self.m.reshape(-1)
-        t4f = self.t4.reshape(-1)
-        t3f = self.t3.reshape(-1)
-        t2f = self.t2.reshape(-1)
-        t5f = self.t5.reshape(-1)
-        pendf = self.pending.reshape(-1)
-        srcsf = self.srcs.reshape(-1)
-        dstsf = self.dsts.reshape(-1)
+        return [self._walk(b) for b in live]
 
-        E0 = live.size
-        fb = live
-        fv = np.ones(E0, dtype=np.int64)
-        kind = np.zeros(E0, dtype=np.int64)
-        xs = np.zeros(E0, dtype=np.int64)
-        xd = np.zeros(E0, dtype=np.int64)
-        sid = np.zeros(E0, dtype=np.int64)
-        did = np.zeros(E0, dtype=np.int64)
-        next_id = np.zeros(B, dtype=np.int64)
+    def _walk(self, b: int) -> _RoundStats:
+        """One round of element ``b``: the walk over its live frontier.
 
-        staged_b: list[np.ndarray] = []
-        staged_v: list[np.ndarray] = []
-        staged_c: list[np.ndarray] = []
-        sched_b: list[np.ndarray] = []
-        sched_v: list[np.ndarray] = []
-        wtr: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        rcv: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        phys = np.zeros(B, dtype=np.int64)
-        pruned = np.zeros(B, dtype=np.int64)
-
-        for lvl in range(self.height):
-            if fv.size == 0:
-                break
-            last = lvl == self.height - 1
-            if fv.size <= self.scalar_cutoff:
-                fb, fv, kind, xs, xd, sid, did = self._level_scalar(
-                    last, fb, fv, kind, xs, xd, sid, did, next_id,
-                    staged_b, staged_v, staged_c, sched_b, sched_v,
-                    wtr, rcv, phys, pruned,
-                )
-                continue
-            keys = fb * n + fv
-            out = self._configure_level(keys, fv, kind, xs, xd, sid, did, fb, next_id)
-            combo, lk, lxs, lxd, lsid, rk, rxs, rxd, rsid, rdid, ldid = out
-
-            staged = combo > 0
-            if staged.any():
-                staged_b.append(fb[staged])
-                staged_v.append(fv[staged])
-                staged_c.append(combo[staged])
-            schedm = (combo == 1) | (combo == 4) | (combo == 7) | (combo == 12)
-            if schedm.any():
-                sched_b.append(fb[schedm])
-                sched_v.append(fv[schedm])
-
-            # interleave children: (left, right) per frontier entry.
-            E = fv.size
-            cb = np.repeat(fb, 2)
-            cv = np.empty(2 * E, dtype=np.int64)
-            cv[0::2] = 2 * fv
-            cv[1::2] = 2 * fv + 1
-            ck = np.empty(2 * E, dtype=np.int64)
-            ck[0::2] = lk
-            ck[1::2] = rk
-            cxs = np.empty(2 * E, dtype=np.int64)
-            cxs[0::2] = lxs
-            cxs[1::2] = rxs
-            cxd = np.empty(2 * E, dtype=np.int64)
-            cxd[0::2] = lxd
-            cxd[1::2] = rxd
-            csid = np.empty(2 * E, dtype=np.int64)
-            csid[0::2] = lsid
-            csid[1::2] = rsid
-            cdid = np.empty(2 * E, dtype=np.int64)
-            cdid[0::2] = ldid
-            cdid[1::2] = rdid
-
-            if last:
-                alive = ck != K_NONE
-            else:
-                alive = (ck != K_NONE) | (pendf[cb * two_n + cv] > 0)
-            phys += np.bincount(cb[alive], minlength=B)
-            dead_b = cb[~alive]
-            if dead_b.size:
-                pruned += np.bincount(dead_b, minlength=B)
-
-            if last:
-                self._leaf_words(cb, cv, ck, cxs, cxd, csid, cdid, alive, wtr, rcv,
-                                 srcsf, dstsf, two_n)
-            else:
-                fb = cb[alive]
-                fv = cv[alive]
-                kind = ck[alive]
-                xs = cxs[alive]
-                xd = cxd[alive]
-                sid = csid[alive]
-                did = cdid[alive]
-
-        return self._finish_round(
-            live, staged_b, staged_v, staged_c, sched_b, sched_v, wtr, rcv,
-            phys, pruned,
-        )
-
-    def _level_scalar(
-        self,
-        last: bool,
-        fb: np.ndarray,
-        fv: np.ndarray,
-        kind: np.ndarray,
-        xs: np.ndarray,
-        xd: np.ndarray,
-        sid: np.ndarray,
-        did: np.ndarray,
-        next_id: np.ndarray,
-        staged_b: list,
-        staged_v: list,
-        staged_c: list,
-        sched_b: list,
-        sched_v: list,
-        wtr: list,
-        rcv: list,
-        phys: np.ndarray,
-        pruned: np.ndarray,
-    ) -> tuple[np.ndarray, ...]:
-        """Scalar CONFIGURE over one small frontier level.
-
-        Same arithmetic as :meth:`_configure_level` plus the surrounding
-        child/alive handling of :meth:`run_round`, as straight Python over
-        the same arrays; used when the frontier is too small for the
-        vector path's fixed per-op cost to pay off.  Entry order, staging
-        order, id assignment and validation order all match the vector
-        path exactly.
+        The frontier holds one ``(node, kind, x_s, x_d, s_id, d_id)`` entry
+        per live link, a level at a time in ascending heap-id order, so the
+        leaves are reached in PE order.  A ``[null,null]`` word is dead
+        (pruned) unless matched pairs remain below the receiving switch.
         """
-        n = self.n
-        two_n = 2 * n
-        keys = fb * n + fv
-        cntf = self.cnt.reshape(5, -1)
-        mL, a4L, a3L, a2L, a5L = cntf[:, keys].tolist()
-        fbl = fb.tolist()
-        fvl = fv.tolist()
-        kl = kind.tolist()
-        xsl = xs.tolist()
-        xdl = xd.tolist()
-        sidl = sid.tolist()
-        didl = did.tolist()
-        E = len(fbl)
-
-        # validation sweeps before any mutation, in the vector path's order.
-        for i in range(E):
-            k = kl[i]
-            if (k == K_SRC or k == K_BOTH) and xsl[i] >= a4L[i] + a2L[i]:
-                raise ProtocolError(
-                    f"switch {fvl[i]}: source rank {xsl[i]} out of range "
-                    f"(only {a4L[i] + a2L[i]} sources remain)"
-                )
-        for i in range(E):
-            k = kl[i]
-            if (k == K_DST or k == K_BOTH) and xdl[i] >= a5L[i] + a3L[i]:
-                raise ProtocolError(
-                    f"switch {fvl[i]}: destination rank {xdl[i]} out of "
-                    f"range (only {a5L[i] + a3L[i]} destinations remain)"
-                )
-
-        nidl = next_id.tolist()
-        st_b: list[int] = []
-        st_v: list[int] = []
-        st_c: list[int] = []
-        sc_b: list[int] = []
-        sc_v: list[int] = []
-        # children, interleaved (left, right) per entry: (b, node, word).
-        ch: list[tuple[int, int, int, int, int, int, int]] = []
-        for i in range(E):
-            b = fbl[i]
-            v = fvl[i]
-            k = kl[i]
-            m0 = mL[i]
-            a4 = a4L[i]
-            a3 = a3L[i]
-            a2 = a2L[i]
-            a5 = a5L[i]
-            x_s = xsl[i]
-            x_d = xdl[i]
-            s_id = sidl[i]
-            d_id = didl[i]
-            combo = 0
-            lw = rw = (K_NONE, 0, 0, 0, 0)  # (kind, xs, xd, sid, did)
-            if k == K_NONE:
-                if m0 > 0:
-                    combo = 1
-                    nid = nidl[b]
-                    nidl[b] = nid + 1
-                    lw = (K_SRC, a4, 0, nid, 0)
-                    rw = (K_DST, 0, a5, 0, nid)
-                    mL[i] = m0 - 1
-            elif k == K_SRC:
-                if x_s < a4:
-                    combo = 2
-                    lw = (K_SRC, x_s, 0, s_id, 0)
-                    a4L[i] = a4 - 1
-                elif m0 > 0:
-                    combo = 4
-                    nid = nidl[b]
-                    nidl[b] = nid + 1
-                    lw = (K_SRC, a4, 0, nid, 0)
-                    rw = (K_BOTH, x_s - a4, a5, s_id, nid)
-                    a2L[i] = a2 - 1
-                    mL[i] = m0 - 1
-                else:
-                    combo = 3
-                    rw = (K_SRC, x_s - a4, 0, s_id, 0)
-                    a2L[i] = a2 - 1
-            elif k == K_DST:
-                if x_d < a5:
-                    combo = 5
-                    rw = (K_DST, 0, x_d, 0, d_id)
-                    a5L[i] = a5 - 1
-                elif m0 > 0:
-                    combo = 7
-                    nid = nidl[b]
-                    nidl[b] = nid + 1
-                    lw = (K_BOTH, a4, x_d - a5, nid, d_id)
-                    rw = (K_DST, 0, a5, 0, nid)
-                    a3L[i] = a3 - 1
-                    mL[i] = m0 - 1
-                else:
-                    combo = 6
-                    lw = (K_DST, 0, x_d - a5, 0, d_id)
-                    a3L[i] = a3 - 1
-            else:  # K_BOTH
-                if x_s < a4:
-                    if x_d < a5:
-                        combo = 8
-                        lw = (K_SRC, x_s, 0, s_id, 0)
-                        rw = (K_DST, 0, x_d, 0, d_id)
-                        a4L[i] = a4 - 1
-                        a5L[i] = a5 - 1
+        c = self.counters[b]
+        M, T4, T3, T2, T5, pend = c.m, c.t4, c.t3, c.t2, c.t5, c.pending
+        get_m, get_t4, get_t3 = M.get, T4.get, T3.get
+        get_t2, get_t5 = T2.get, T5.get
+        cfg, units, changes = self.cfg[b], self.units[b], self.changes[b]
+        staged: dict[int, tuple[Connection, ...]] = {}
+        writers: list[tuple[int, int]] = []  # (pe, circuit id)
+        receivers: dict[int, int] = {}  # circuit id -> pe
+        next_id = phys = pruned = round_units = round_changes = 0
+        last = self.height - 1
+        front = [(1, K_NONE, 0, 0, 0, 0)]
+        for lvl, cost in enumerate(self.level_cost):
+            nxt: list[tuple[int, int, int, int, int, int]] = []
+            push = nxt.append
+            for v, k, xs, xd, sid, did in front:
+                left = 2 * v
+                right = left + 1
+                lw = rw = None
+                scheduled = False
+                if k == K_NONE:
+                    m0 = get_m(v, 0)
+                    if m0:
+                        combo = 1
+                        lw = (left, K_SRC, get_t4(v, 0), 0, next_id, 0)
+                        rw = (right, K_DST, 0, get_t5(v, 0), 0, next_id)
+                        M[v] = m0 - 1
+                        scheduled = True
                     else:
-                        combo = 9
-                        lw = (K_BOTH, x_s, x_d - a5, s_id, d_id)
-                        a4L[i] = a4 - 1
-                        a3L[i] = a3 - 1
-                elif x_d < a5:
-                    combo = 10
-                    rw = (K_BOTH, x_s - a4, x_d, s_id, d_id)
-                    a2L[i] = a2 - 1
-                    a5L[i] = a5 - 1
-                elif m0 > 0:
-                    combo = 12
-                    nid = nidl[b]
-                    nidl[b] = nid + 1
-                    lw = (K_BOTH, a4, x_d - a5, nid, d_id)
-                    rw = (K_BOTH, x_s - a4, a5, s_id, nid)
-                    a2L[i] = a2 - 1
-                    a3L[i] = a3 - 1
-                    mL[i] = m0 - 1
-                else:
-                    combo = 11
-                    lw = (K_DST, 0, x_d - a5, 0, d_id)
-                    rw = (K_SRC, x_s - a4, 0, s_id, 0)
-                    a2L[i] = a2 - 1
-                    a3L[i] = a3 - 1
-            if combo:
-                st_b.append(b)
-                st_v.append(v)
-                st_c.append(combo)
-                if combo == 1 or combo == 4 or combo == 7 or combo == 12:
-                    sc_b.append(b)
-                    sc_v.append(v)
-            ch.append((b, 2 * v) + lw)
-            ch.append((b, 2 * v + 1) + rw)
-
-        # counter write-back (keys are unique within a level).
-        cntf[:, keys] = (mL, a4L, a3L, a2L, a5L)
-        next_id[:] = nidl
-        if st_b:
-            st = np.asarray((st_b, st_v, st_c), dtype=np.int64)
-            staged_b.append(st[0])
-            staged_v.append(st[1])
-            staged_c.append(st[2])
-        if sc_b:
-            sc = np.asarray((sc_b, sc_v), dtype=np.int64)
-            sched_b.append(sc[0])
-            sched_v.append(sc[1])
-
-        B = self.B
-        alive_bs: list[int] = []
-        dead_bs: list[int] = []
-        if last:
-            alive_ch = [c for c in ch if c[2] != K_NONE]
-            dead_bs = [c[0] for c in ch if c[2] == K_NONE]
-            alive_bs = [c[0] for c in alive_ch]
-            # leaf validation/collection sweeps in _leaf_words order.
-            for b, node, k, cxs, cxd, csid, cdid in alive_ch:
-                if k == K_BOTH:
-                    raise ProtocolError(
-                        f"leaf PE {node - n} received [s,d] — a PE cannot be "
-                        "both endpoints"
-                    )
-            for b, node, k, cxs, cxd, csid, cdid in alive_ch:
-                if cxs != 0 or cxd != 0:
-                    word = f"{_KIND_STR[k]}(x_s={cxs}, x_d={cxd})"
-                    raise ProtocolError(
-                        f"leaf PE {node - n} received non-zero rank in {word}"
-                    )
-            srcsf = self.srcs.reshape(-1)
-            dstsf = self.dsts.reshape(-1)
-            w_b: list[int] = []
-            w_pe: list[int] = []
-            w_id: list[int] = []
-            for b, node, k, cxs, cxd, csid, cdid in alive_ch:
-                if k == K_SRC:
-                    key = b * two_n + node
-                    if not srcsf[key]:
-                        role = "destination" if dstsf[key] else "neither"
+                        combo = 0
+                elif k == K_SRC:
+                    a4 = get_t4(v, 0)
+                    a2 = get_t2(v, 0)
+                    if xs >= a4 + a2:
                         raise ProtocolError(
-                            f"leaf PE {node - n} asked to transmit but role "
-                            f"is {role}"
+                            f"switch {v}: source rank {xs} out of range "
+                            f"(only {a4 + a2} sources remain)"
                         )
-                    w_b.append(b)
-                    w_pe.append(node - n)
-                    w_id.append(csid)
-            if w_b:
-                w = np.asarray((w_b, w_pe, w_id), dtype=np.int64)
-                wtr.append((w[0], w[1], w[2]))
-            r_b: list[int] = []
-            r_pe: list[int] = []
-            r_id: list[int] = []
-            for b, node, k, cxs, cxd, csid, cdid in alive_ch:
-                if k == K_DST:
-                    key = b * two_n + node
-                    if not dstsf[key]:
-                        role = "source" if srcsf[key] else "neither"
+                    if xs < a4:
+                        combo = 2
+                        lw = (left, K_SRC, xs, 0, sid, 0)
+                        T4[v] = a4 - 1
+                    else:
+                        T2[v] = a2 - 1
+                        m0 = get_m(v, 0)
+                        if m0:
+                            combo = 4
+                            lw = (left, K_SRC, a4, 0, next_id, 0)
+                            rw = (right, K_BOTH, xs - a4, get_t5(v, 0), sid, next_id)
+                            M[v] = m0 - 1
+                            scheduled = True
+                        else:
+                            combo = 3
+                            rw = (right, K_SRC, xs - a4, 0, sid, 0)
+                elif k == K_DST:
+                    a5 = get_t5(v, 0)
+                    a3 = get_t3(v, 0)
+                    if xd >= a5 + a3:
                         raise ProtocolError(
-                            f"leaf PE {node - n} asked to receive but role "
-                            f"is {role}"
+                            f"switch {v}: destination rank {xd} out of "
+                            f"range (only {a5 + a3} destinations remain)"
                         )
-                    r_b.append(b)
-                    r_pe.append(node - n)
-                    r_id.append(cdid)
-            if r_b:
-                r = np.asarray((r_b, r_pe, r_id), dtype=np.int64)
-                rcv.append((r[0], r[1], r[2]))
-            nxt: list[tuple[int, int, int, int, int, int, int]] = []
-        else:
-            pendf = self.pending.reshape(-1)
-            nxt = []
-            for c in ch:
-                if c[2] != K_NONE or pendf[c[0] * two_n + c[1]] > 0:
-                    alive_bs.append(c[0])
-                    nxt.append(c)
-                else:
-                    dead_bs.append(c[0])
-        if alive_bs:
-            phys += np.bincount(
-                np.asarray(alive_bs, dtype=np.int64), minlength=B
-            )
-        if dead_bs:
-            pruned += np.bincount(
-                np.asarray(dead_bs, dtype=np.int64), minlength=B
-            )
-        if not nxt:
-            return (np.empty(0, dtype=np.int64),) * 7
-        arr = np.asarray(nxt, dtype=np.int64)
-        return tuple(arr[:, j] for j in range(7))
+                    if xd < a5:
+                        combo = 5
+                        rw = (right, K_DST, 0, xd, 0, did)
+                        T5[v] = a5 - 1
+                    else:
+                        T3[v] = a3 - 1
+                        m0 = get_m(v, 0)
+                        if m0:
+                            combo = 7
+                            lw = (left, K_BOTH, get_t4(v, 0), xd - a5, next_id, did)
+                            rw = (right, K_DST, 0, a5, 0, next_id)
+                            M[v] = m0 - 1
+                            scheduled = True
+                        else:
+                            combo = 6
+                            lw = (left, K_DST, 0, xd - a5, 0, did)
+                else:  # K_BOTH
+                    a4 = get_t4(v, 0)
+                    a2 = get_t2(v, 0)
+                    a5 = get_t5(v, 0)
+                    a3 = get_t3(v, 0)
+                    if xs >= a4 + a2:
+                        raise ProtocolError(
+                            f"switch {v}: source rank {xs} out of range "
+                            f"(only {a4 + a2} sources remain)"
+                        )
+                    if xd >= a5 + a3:
+                        raise ProtocolError(
+                            f"switch {v}: destination rank {xd} out of "
+                            f"range (only {a5 + a3} destinations remain)"
+                        )
+                    if xs < a4:
+                        T4[v] = a4 - 1
+                        if xd < a5:
+                            combo = 8
+                            lw = (left, K_SRC, xs, 0, sid, 0)
+                            rw = (right, K_DST, 0, xd, 0, did)
+                            T5[v] = a5 - 1
+                        else:
+                            combo = 9
+                            lw = (left, K_BOTH, xs, xd - a5, sid, did)
+                            T3[v] = a3 - 1
+                    elif xd < a5:
+                        combo = 10
+                        rw = (right, K_BOTH, xs - a4, xd, sid, did)
+                        T2[v] = a2 - 1
+                        T5[v] = a5 - 1
+                    else:
+                        T2[v] = a2 - 1
+                        T3[v] = a3 - 1
+                        m0 = get_m(v, 0)
+                        if m0:
+                            combo = 12
+                            lw = (left, K_BOTH, a4, xd - a5, next_id, did)
+                            rw = (right, K_BOTH, xs - a4, a5, sid, next_id)
+                            M[v] = m0 - 1
+                            scheduled = True
+                        else:
+                            combo = 11
+                            lw = (left, K_DST, 0, xd - a5, 0, did)
+                            rw = (right, K_SRC, xs - a4, 0, sid, 0)
 
-    def _configure_level(
+                if combo:
+                    staged[v] = _COMBOS[combo]
+                    code = _STAGED[cfg.get(v, 0) << 4 | combo]
+                    cfg[v] = code >> 2
+                    if code & 3:
+                        spent = (code & 3) * cost
+                        units[v] = units.get(v, 0) + spent
+                        changes[v] = changes.get(v, 0) + 1
+                        round_units += spent
+                        round_changes += 1
+                    if scheduled:
+                        # a fresh circuit id pairs O_c(u)'s two requests;
+                        # the switch and its ancestors lose one pending pair.
+                        next_id += 1
+                        u = v
+                        while u:
+                            pend[u] -= 1
+                            u >>= 1
+
+                if lvl == last:  # the children are leaves
+                    for word in (lw, rw):
+                        if word is not None:
+                            push(word)
+                            self._leaf(word, b, writers, receivers)
+                    continue
+                if lw is not None:
+                    push(lw)
+                elif pend.get(left, 0):
+                    push((left, K_NONE, 0, 0, 0, 0))
+                if rw is not None:
+                    push(rw)
+                elif pend.get(right, 0):
+                    push((right, K_NONE, 0, 0, 0, 0))
+            # every live link carried one message; the rest were pruned.
+            phys += len(nxt)
+            pruned += 2 * len(front) - len(nxt)
+            if not nxt:
+                break
+            front = nxt
+        stats = _RoundStats()
+        stats.physical = phys
+        stats.pruned = pruned
+        stats.power_units = round_units
+        stats.config_changes = round_changes
+        stats.staged_switches = len(staged)
+        return self._settle(b, staged, writers, receivers, stats)
+
+    def _leaf(
         self,
-        keys: np.ndarray,
-        fv: np.ndarray,
-        kind: np.ndarray,
-        xs: np.ndarray,
-        xd: np.ndarray,
-        sid: np.ndarray,
-        did: np.ndarray,
-        fb: np.ndarray,
-        next_id: np.ndarray,
-    ) -> tuple[np.ndarray, ...]:
-        """Vectorised CONFIGURE over one frontier level.
-
-        Mutates the counter columns at ``keys`` and returns the staged-combo
-        column plus the word columns for the left and right children.  Every
-        masked update below mirrors one branch of
-        :func:`repro.core.phase2.configure`; rank arithmetic uses the
-        pre-decrement counters, exactly as the scalar code reads them.
-        """
-        E = keys.size
-        m = self.m.reshape(-1)[keys]
-        a4 = self.t4.reshape(-1)[keys]
-        a3 = self.t3.reshape(-1)[keys]
-        a2 = self.t2.reshape(-1)[keys]
-        a5 = self.t5.reshape(-1)[keys]
-
-        wants_src = kind == K_SRC
-        wants_dst = kind == K_DST
-        is_both = kind == K_BOTH
-        any_src = wants_src | is_both
-        any_dst = wants_dst | is_both
-        if any_src.any():
-            bad = any_src & (xs >= a4 + a2)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ProtocolError(
-                    f"switch {int(fv[i])}: source rank {int(xs[i])} out of range "
-                    f"(only {int(a4[i] + a2[i])} sources remain)"
-                )
-        if any_dst.any():
-            bad = any_dst & (xd >= a5 + a3)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ProtocolError(
-                    f"switch {int(fv[i])}: destination rank {int(xd[i])} out of "
-                    f"range (only {int(a5[i] + a3[i])} destinations remain)"
-                )
-
-        combo = np.zeros(E, dtype=np.int64)
-        lk = np.zeros(E, dtype=np.int64)
-        rk = np.zeros(E, dtype=np.int64)
-        lxs = np.zeros(E, dtype=np.int64)
-        lxd = np.zeros(E, dtype=np.int64)
-        rxs = np.zeros(E, dtype=np.int64)
-        rxd = np.zeros(E, dtype=np.int64)
-        lsid = np.zeros(E, dtype=np.int64)
-        ldid = np.zeros(E, dtype=np.int64)
-        rsid = np.zeros(E, dtype=np.int64)
-        rdid = np.zeros(E, dtype=np.int64)
-
-        has_m = m > 0
-        src_left = xs < a4
-        dst_right = xd < a5
-
-        # [null,null] with a matched pair left: schedule O_c(u).
-        mN1 = (kind == K_NONE) & has_m
-        if mN1.any():
-            combo[mN1] = 1
-            lk[mN1] = K_SRC
-            lxs[mN1] = a4[mN1]
-            rk[mN1] = K_DST
-            rxd[mN1] = a5[mN1]
-
-        if wants_src.any():
-            sL = wants_src & src_left
-            if sL.any():
-                combo[sL] = 2
-                lk[sL] = K_SRC
-                lxs[sL] = xs[sL]
-                lsid[sL] = sid[sL]
-            sR = wants_src & ~src_left
-            if sR.any():
-                xsr = xs - a4
-                sR0 = sR & ~has_m
-                if sR0.any():
-                    combo[sR0] = 3
-                    rk[sR0] = K_SRC
-                    rxs[sR0] = xsr[sR0]
-                    rsid[sR0] = sid[sR0]
-                sR1 = sR & has_m
-                if sR1.any():
-                    combo[sR1] = 4
-                    lk[sR1] = K_SRC
-                    lxs[sR1] = a4[sR1]
-                    rk[sR1] = K_BOTH
-                    rxs[sR1] = xsr[sR1]
-                    rxd[sR1] = a5[sR1]
-                    rsid[sR1] = sid[sR1]
-        else:
-            sL = sR = sR0 = sR1 = _FALSE
-
-        if wants_dst.any():
-            dR = wants_dst & dst_right
-            if dR.any():
-                combo[dR] = 5
-                rk[dR] = K_DST
-                rxd[dR] = xd[dR]
-                rdid[dR] = did[dR]
-            dL = wants_dst & ~dst_right
-            if dL.any():
-                xdl = xd - a5
-                dL0 = dL & ~has_m
-                if dL0.any():
-                    combo[dL0] = 6
-                    lk[dL0] = K_DST
-                    lxd[dL0] = xdl[dL0]
-                    ldid[dL0] = did[dL0]
-                dL1 = dL & has_m
-                if dL1.any():
-                    combo[dL1] = 7
-                    lk[dL1] = K_BOTH
-                    lxs[dL1] = a4[dL1]
-                    lxd[dL1] = xdl[dL1]
-                    ldid[dL1] = did[dL1]
-                    rk[dL1] = K_DST
-                    rxd[dL1] = a5[dL1]
-            else:
-                dL0 = dL1 = _FALSE
-        else:
-            dR = dL = dL0 = dL1 = _FALSE
-
-        if is_both.any():
-            xsr = xs - a4
-            xdl = xd - a5
-            b1 = is_both & src_left & dst_right
-            if b1.any():
-                combo[b1] = 8
-                lk[b1] = K_SRC
-                lxs[b1] = xs[b1]
-                lsid[b1] = sid[b1]
-                rk[b1] = K_DST
-                rxd[b1] = xd[b1]
-                rdid[b1] = did[b1]
-            b2 = is_both & src_left & ~dst_right
-            if b2.any():
-                combo[b2] = 9
-                lk[b2] = K_BOTH
-                lxs[b2] = xs[b2]
-                lxd[b2] = xdl[b2]
-                lsid[b2] = sid[b2]
-                ldid[b2] = did[b2]
-            b3 = is_both & ~src_left & dst_right
-            if b3.any():
-                combo[b3] = 10
-                rk[b3] = K_BOTH
-                rxs[b3] = xsr[b3]
-                rxd[b3] = xd[b3]
-                rsid[b3] = sid[b3]
-                rdid[b3] = did[b3]
-            b4 = is_both & ~src_left & ~dst_right
-            b40 = b4 & ~has_m
-            if b40.any():
-                combo[b40] = 11
-                lk[b40] = K_DST
-                lxd[b40] = xdl[b40]
-                ldid[b40] = did[b40]
-                rk[b40] = K_SRC
-                rxs[b40] = xsr[b40]
-                rsid[b40] = sid[b40]
-            b41 = b4 & has_m
-            if b41.any():
-                combo[b41] = 12
-                lk[b41] = K_BOTH
-                lxs[b41] = a4[b41]
-                lxd[b41] = xdl[b41]
-                ldid[b41] = did[b41]
-                rk[b41] = K_BOTH
-                rxs[b41] = xsr[b41]
-                rxd[b41] = a5[b41]
-                rsid[b41] = sid[b41]
-        else:
-            b1 = b2 = b3 = b4 = b40 = b41 = _FALSE
-
-        # a fresh circuit id for every pair scheduled at this level — the id
-        # pairs the O_c(u) source request (left) with its destination (right).
-        schedm = (combo == 1) | (combo == 4) | (combo == 7) | (combo == 12)
-        if schedm.any():
-            sb = fb[schedm]
-            order = np.argsort(sb, kind="stable")
-            inv = np.empty(sb.size, dtype=np.int64)
-            inv[order] = np.arange(sb.size)
-            sb_sorted = sb[order]
-            starts = np.r_[0, np.nonzero(np.diff(sb_sorted))[0] + 1]
-            rank = np.arange(sb.size) - np.repeat(
-                starts, np.diff(np.r_[starts, sb.size])
-            )
-            new_ids = (next_id[sb_sorted] + rank)[inv]
-            uniq = sb_sorted[starts]
-            counts = np.diff(np.r_[starts, sb.size])
-            next_id[uniq] += counts
-            lsid[schedm] = new_ids
-            rdid[schedm] = new_ids
-
-        # counter decrements — after all rank arithmetic, as in the scalar code.
-        flat = self.t4.reshape(-1)
-        d = sL | b1 | b2
-        if d.any():
-            flat[keys] = a4 - d
-        flat = self.t2.reshape(-1)
-        d = sR | b3 | b4
-        if d.any():
-            flat[keys] = a2 - d
-        flat = self.t5.reshape(-1)
-        d = dR | b1 | b3
-        if d.any():
-            flat[keys] = a5 - d
-        flat = self.t3.reshape(-1)
-        d = dL | b2 | b4
-        if d.any():
-            flat[keys] = a3 - d
-        if schedm.any():
-            self.m.reshape(-1)[keys] = m - schedm
-
-        return combo, lk, lxs, lxd, lsid, rk, rxs, rxd, rsid, rdid, ldid
-
-    def _leaf_words(
-        self,
-        cb: np.ndarray,
-        cv: np.ndarray,
-        ck: np.ndarray,
-        cxs: np.ndarray,
-        cxd: np.ndarray,
-        csid: np.ndarray,
-        cdid: np.ndarray,
-        alive: np.ndarray,
-        wtr: list,
-        rcv: list,
-        srcsf: np.ndarray,
-        dstsf: np.ndarray,
-        two_n: int,
+        word: tuple[int, int, int, int, int, int],
+        b: int,
+        writers: list[tuple[int, int]],
+        receivers: dict[int, int],
     ) -> None:
-        """Validate the words delivered to leaves; collect writers/receivers."""
-        n = self.n
-        bad = alive & (ck == K_BOTH)
-        if bad.any():
-            i = int(np.argmax(bad))
+        """Validate one live word delivered to a leaf; note its writer or
+        receiver under the word's circuit id."""
+        node, k, xs, xd, sid, did = word
+        pe = node - self.n
+        if k == K_BOTH:
             raise ProtocolError(
-                f"leaf PE {int(cv[i]) - n} received [s,d] — a PE cannot be "
-                "both endpoints"
+                f"leaf PE {pe} received [s,d] — a PE cannot be both endpoints"
             )
-        bad = alive & ((cxs != 0) | (cxd != 0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            word = f"{_KIND_STR[int(ck[i])]}(x_s={int(cxs[i])}, x_d={int(cxd[i])})"
+        if xs or xd:
             raise ProtocolError(
-                f"leaf PE {int(cv[i]) - n} received non-zero rank in {word}"
+                f"leaf PE {pe} received non-zero rank in "
+                f"{_KIND_STR[k]}(x_s={xs}, x_d={xd})"
             )
-        leaf_keys = cb * two_n + cv
-        ws = alive & (ck == K_SRC)
-        if ws.any():
-            bad = ws & (srcsf[leaf_keys] == 0)
-            if bad.any():
-                i = int(np.argmax(bad))
-                role = "destination" if dstsf[leaf_keys[i]] else "neither"
+        if k == K_SRC:
+            if pe not in self.sources[b]:
+                role = "destination" if pe in self.destinations[b] else "neither"
                 raise ProtocolError(
-                    f"leaf PE {int(cv[i]) - n} asked to transmit but role is {role}"
+                    f"leaf PE {pe} asked to transmit but role is {role}"
                 )
-            wtr.append((cb[ws], cv[ws] - n, csid[ws]))
-        wd = alive & (ck == K_DST)
-        if wd.any():
-            bad = wd & (dstsf[leaf_keys] == 0)
-            if bad.any():
-                i = int(np.argmax(bad))
-                role = "source" if srcsf[leaf_keys[i]] else "neither"
+            writers.append((pe, sid))
+        else:
+            if pe not in self.destinations[b]:
+                role = "source" if pe in self.sources[b] else "neither"
                 raise ProtocolError(
-                    f"leaf PE {int(cv[i]) - n} asked to receive but role is {role}"
+                    f"leaf PE {pe} asked to receive but role is {role}"
                 )
-            rcv.append((cb[wd], cv[wd] - n, cdid[wd]))
+            receivers[did] = pe
 
-    def _finish_round(
+    def _settle(
         self,
-        live: np.ndarray,
-        staged_b: list,
-        staged_v: list,
-        staged_c: list,
-        sched_b: list,
-        sched_v: list,
-        wtr: list,
-        rcv: list,
-        phys: np.ndarray,
-        pruned: np.ndarray,
-    ) -> list[_RoundStats]:
-        n, B = self.n, self.B
-        stats = {int(b): _RoundStats() for b in live}
-        round_units = np.zeros(B, dtype=np.int64)
-        round_changes = np.zeros(B, dtype=np.int64)
-        staged_counts = np.zeros(B, dtype=np.int64)
-
-        # crossbar staging + power, grouped by connection tuple.
-        if staged_b:
-            sfb = np.concatenate(staged_b)
-            sfv = np.concatenate(staged_v)
-            sfc = np.concatenate(staged_c)
-            keys = sfb * n + sfv
-            self.commits[keys] += 1  # keys unique: one staging per switch/round
-            staged_counts = np.bincount(sfb, minlength=B)
-            cfg = self.cfg
-            if sfb.size <= self.scalar_cutoff:
-                # small round: per-entry Python beats 12 masked passes.
-                rows = cfg[keys].tolist()
-                wts = self.weight[sfv].tolist()
-                unit_cost = self.unit_cost
-                costs: list[int] = []
-                changed_l: list[int] = []
-                for i, combo in enumerate(sfc.tolist()):
-                    row = rows[i]
-                    charged = 0
-                    for in_idx, out_code in _COMBO_PORTS[combo]:
-                        if row[in_idx] != out_code:
-                            charged += 1
-                        for other in (_IN_L, _IN_R, _IN_P):
-                            if other != in_idx and row[other] == out_code:
-                                row[other] = 0
-                        row[in_idx] = out_code
-                    costs.append(charged * (unit_cost * wts[i]))
-                    changed_l.append(1 if charged else 0)
-                cfg[keys] = rows
-                cost_a = np.asarray(costs, dtype=np.int64)
-                changed_a = np.asarray(changed_l, dtype=np.int64)
-                self.units[keys] += cost_a
-                self.changes[keys] += changed_a
-                np.add.at(round_units, sfb, cost_a)
-                np.add.at(round_changes, sfb, changed_a)
-            else:
-                for code in range(1, 13):
-                    sel = np.nonzero(sfc == code)[0]
-                    if sel.size == 0:
-                        continue
-                    k = keys[sel]
-                    charged = np.zeros(sel.size, dtype=np.int64)
-                    for in_idx, out_code in _COMBO_PORTS[code]:
-                        cur = cfg[k, in_idx]
-                        charged += cur != out_code
-                        # lazy displacement: another in-port driving this
-                        # output loses its connection
-                        # (SwitchConfiguration.with_connection).
-                        for other in (_IN_L, _IN_R, _IN_P):
-                            if other == in_idx:
-                                continue
-                            dis = cfg[k, other] == out_code
-                            if dis.any():
-                                cfg[k[dis], other] = 0
-                        cfg[k, in_idx] = out_code
-                    cost = charged * (self.unit_cost * self.weight[sfv[sel]])
-                    self.units[k] += cost
-                    changed = charged > 0
-                    self.changes[k] += changed
-                    np.add.at(round_units, sfb[sel], cost)
-                    np.add.at(round_changes, sfb[sel], changed)
-
-        # batched pending decrements: each scheduling switch and its ancestors.
-        if sched_b:
-            bb = np.concatenate(sched_b)
-            nodes = np.concatenate(sched_v)
-            pendf = self.pending.reshape(-1)
-            two_n = 2 * n
-            while nodes.size:
-                np.subtract.at(pendf, bb * two_n + nodes, 1)
-                keep = nodes > 1
-                if not keep.all():
-                    nodes = nodes[keep]
-                    bb = bb[keep]
-                nodes = nodes >> 1
-
-        # pair writers with receivers by circuit id.
-        if wtr:
-            wb = np.concatenate([w[0] for w in wtr])
-            wpe = np.concatenate([w[1] for w in wtr])
-            wid = np.concatenate([w[2] for w in wtr])
-        else:
-            wb = wpe = wid = _EMPTY
-        if rcv:
-            rb = np.concatenate([r[0] for r in rcv])
-            rpe = np.concatenate([r[1] for r in rcv])
-            rid = np.concatenate([r[2] for r in rcv])
-        else:
-            rb = rpe = rid = _EMPTY
-
-        nw = np.bincount(wb, minlength=B)
-        nr = np.bincount(rb, minlength=B)
-        mismatch = nw != nr
-        if mismatch.any():
-            b = int(np.argmax(mismatch))
+        b: int,
+        staged: dict[int, tuple[Connection, ...]],
+        writers: list[tuple[int, int]],
+        receivers: dict[int, int],
+        stats: _RoundStats,
+    ) -> _RoundStats:
+        """Pair the round's writers with receivers and record the round."""
+        rounds = self.rounds_by_element[b]
+        if len(writers) != len(receivers):
             raise ProtocolError(
-                f"round {len(self.rounds_by_element[b])}: {int(nw[b])} writers "
-                f"but {int(nr[b])} receivers — the control wave is inconsistent"
+                f"round {len(rounds)}: {len(writers)} writers but "
+                f"{len(receivers)} receivers — the control wave is inconsistent"
             )
-
-        recv_map: dict[tuple[int, int], int] = {}
-        recv_by_b: dict[int, list[int]] = {}
-        for b, pe, cid in zip(rb.tolist(), rpe.tolist(), rid.tolist()):
-            recv_map[(b, cid)] = pe
-            recv_by_b.setdefault(b, []).append(pe)
-
-        order = np.lexsort((wpe, wb))
-        performed_by_b: dict[int, list[Communication]] = {}
-        writers_by_b: dict[int, list[int]] = {}
-        for b, pe, cid in zip(
-            wb[order].tolist(), wpe[order].tolist(), wid[order].tolist()
-        ):
-            dst = recv_map.get((b, cid))
+        performed: list[Communication] = []
+        wrote: list[int] = []
+        for pe, cid in writers:  # ascending PE order, as the leaves were reached
+            dst = receivers.get(cid)
             if dst is None:
                 if self.strict:
-                    rnd = len(self.rounds_by_element[b])
-                    delivered = sorted(
-                        c.dst for c in performed_by_b.get(b, [])
-                    )
                     raise ProtocolError(
-                        f"round {rnd}: control wave selected receivers "
-                        f"{sorted(recv_by_b.get(b, []))} but data arrived at "
-                        f"{delivered}"
+                        f"round {len(rounds)}: control wave selected receivers "
+                        f"{sorted(receivers.values())} but data arrived at "
+                        f"{sorted(c.dst for c in performed)}"
                     )
                 continue
-            performed_by_b.setdefault(b, []).append(Communication(pe, dst))
-            writers_by_b.setdefault(b, []).append(pe)
-
-        staged_by_b: dict[int, dict[int, tuple[Connection, ...]]] = {}
-        if staged_b:
-            for b, v, c in zip(sfb.tolist(), sfv.tolist(), sfc.tolist()):
-                staged_by_b.setdefault(b, {})[v] = _COMBOS[c]
-
-        self.physical_total += phys
-        out: list[_RoundStats] = []
-        for b in live.tolist():
-            rounds = self.rounds_by_element[b]
-            performed = performed_by_b.get(b, [])
-            writers = writers_by_b.get(b, [])
-            record = RoundRecord(
+            performed.append(Communication(pe, dst))
+            wrote.append(pe)
+        rounds.append(
+            RoundRecord(
                 index=len(rounds),
                 performed=tuple(performed),
-                writers=tuple(writers),
-                staged=staged_by_b.get(b, {}),
+                writers=tuple(wrote),
+                staged=staged,
             )
-            rounds.append(record)
-            self._w_done[b].update(writers)
-            self._r_done[b].update(c.dst for c in performed)
-            st = stats[b]
-            st.physical = int(phys[b])
-            st.pruned = int(pruned[b])
-            st.writers = len(writers)
-            st.performed = len(performed)
-            st.power_units = int(round_units[b])
-            st.config_changes = int(round_changes[b])
-            st.staged_switches = int(staged_counts[b])
-            out.append(st)
-        return out
+        )
+        self._w_done[b].update(wrote)
+        self._r_done[b].update(c.dst for c in performed)
+        self.physical_total[b] += stats.physical
+        stats.writers = len(wrote)
+        stats.performed = len(performed)
+        return stats
 
     # -- postconditions & reporting --------------------------------------------
 
     def check_counters_exhausted(self) -> None:
         """The global invariant: every counter on every switch is spent."""
-        total = self.m + self.t4 + self.t3 + self.t2 + self.t5
-        leftover_elems = np.nonzero(total.any(axis=1))[0]
-        if leftover_elems.size:
-            b = int(leftover_elems[0])
-            leftovers = {
-                int(v): (
-                    int(self.m[b, v]),
-                    int(self.t4[b, v]),
-                    int(self.t3[b, v]),
-                    int(self.t2[b, v]),
-                    int(self.t5[b, v]),
+        for c in self.counters:
+            if not c.exhausted:
+                leftovers = {v: c.row(v) for v in c.switches() if any(c.row(v))}
+                raise ProtocolError(
+                    f"CSA finished with non-exhausted switch counters: {leftovers}"
                 )
-                for v in np.nonzero(total[b])[0]
-            }
-            raise ProtocolError(
-                f"CSA finished with non-exhausted switch counters: {leftovers}"
-            )
 
     def check_obligations(self, element: int) -> None:
         """Array-level equivalent of ``CSTNetwork.all_done`` for one element."""
-        n = self.n
-        srcs = self.srcs[element, n:]
-        dsts = self.dsts[element, n:]
-        w_done, r_done = self._w_done[element], self._r_done[element]
-        unsatisfied = [
-            pe
-            for pe in np.nonzero(srcs | dsts)[0].tolist()
-            if (srcs[pe] and pe not in w_done) or (dsts[pe] and pe not in r_done)
-        ]
+        srcs, dsts = self.sources[element], self.destinations[element]
+        unsatisfied = sorted(
+            (srcs - self._w_done[element]) | (dsts - self._r_done[element])
+        )
         if unsatisfied:
             raise ProtocolError(
                 f"CSA finished but PEs {unsatisfied} are unsatisfied"
             )
 
     def power_report(self, element: int) -> PowerReport:
-        n = self.n
-        units = self.units[element * n : (element + 1) * n]
-        changes = self.changes[element * n : (element + 1) * n]
-        per_units = {int(v): int(units[v]) for v in np.nonzero(units)[0]}
-        per_changes = {int(v): int(changes[v]) for v in np.nonzero(changes)[0]}
+        units, changes = self.units[element], self.changes[element]
         return PowerReport(
-            total_units=int(units.sum()),
-            per_switch_units=per_units,
-            per_switch_changes=per_changes,
+            total_units=sum(units.values()),
+            per_switch_units={v: units[v] for v in sorted(units)},
+            per_switch_changes={v: changes[v] for v in sorted(changes)},
             rounds=len(self.rounds_by_element[element]),
         )
 
@@ -1197,37 +580,30 @@ class ColumnarRun:
         engine ran on: switch crossbars, per-switch change counts, meter
         totals and ``rounds_run`` all match, so later scalar rounds on the
         same network (e.g. stream steps that fall off the columnar guards)
-        continue from equivalent state.  Only valid for ``B == 1``.
+        continue from equivalent state.  Touches only the switches this
+        run staged.  Only valid for ``B == 1``.
         """
         if self.B != 1:
             raise SchedulingError("write_back requires a single-element run")
-        n = self.n
-        n_rounds = len(self.rounds_by_element[0])
-        touched = np.nonzero(
-            self.cfg.any(axis=1) | (self.commits[:n] > 0)
-        )[0]
+        cfg, units, changes = self.cfg[0], self.units[0], self.changes[0]
+        rounds = self.rounds_by_element[0]
+        commits: dict[int, int] = {}
+        for record in rounds:
+            for v in record.staged:
+                commits[v] = commits.get(v, 0) + 1
         switches = network.switches
-        rows = self.cfg[touched]
-        codes = (rows[:, 0] + 4 * rows[:, 1] + 16 * rows[:, 2]).tolist()
-        t_changes = self.changes[touched].tolist()
-        t_commits = self.commits[touched].tolist()
-        for i, v in enumerate(touched.tolist()):
-            if v == 0:
-                continue
+        for v, committed in commits.items():
             sw = switches[v]
-            sw._config = _cached_config(codes[i], rows[i])
-            sw.config_changes = t_changes[i]
-            sw.rounds_committed = t_commits[i]
+            code = cfg[v]
+            sw._config = _CFG_CACHE.get(code) or _config_of(code)
+            sw.config_changes = changes.get(v, 0)
+            sw.rounds_committed = committed
         meter = network.meter
-        for v in np.nonzero(self.units[:n])[0].tolist():
-            meter._units[v] = meter._units.get(v, 0) + int(self.units[v])
-        for v in np.nonzero(self.changes[:n])[0].tolist():
-            meter._changes[v] = meter._changes.get(v, 0) + int(self.changes[v])
-        network.rounds_run += n_rounds
-
-
-_FALSE = np.zeros(1, dtype=bool)
-_EMPTY = np.zeros(0, dtype=np.int64)
+        for v in sorted(units):
+            meter._units[v] = meter._units.get(v, 0) + units[v]
+        for v in sorted(changes):
+            meter._changes[v] = meter._changes.get(v, 0) + changes[v]
+        network.rounds_run += len(rounds)
 
 
 # -- single-schedule path (behind PADRScheduler) ------------------------------
@@ -1247,21 +623,17 @@ def run_columnar(
     the columnar guards hold (see ``PADRScheduler._columnar_applicable``).
     Emits the same logical observability stream and, when a network is
     supplied, leaves it in the same final state as the scalar engine.
+    Reads and writes the scheduler's one Phase-1 reuse cache, which the
+    scalar path shares.
     """
     from repro.cst.engine import EngineTrace
 
     roles = cset.roles()
+    trace = EngineTrace()
     if network is not None:
         network.assign_roles(roles)
-        engine = scheduler.engine_factory(network)
-        trace = engine.trace
         pol = network.meter.policy
     else:
-        engine = None
-        trace = EngineTrace()
-        cap = scheduler.config.trace_wave_cap
-        if cap != EngineTrace.PER_WAVE_CAP:
-            trace.PER_WAVE_CAP = cap
         pol = policy or PowerPolicy.paper()
 
     if obs is not None:
@@ -1272,27 +644,15 @@ def run_columnar(
 
     n_links = 2 * n - 2
     fault_sig = network.fault_signature() if network is not None else ()
-    key = (n, dict(roles), fault_sig)
-    cached = (
-        scheduler.reuse_phase1
-        and key == scheduler._phase1_cols_key
-        and scheduler._phase1_cols is not None
-    )
-    if cached:
-        run, snapshot, live_count = scheduler._phase1_cols
-        run.restore_phase1(snapshot)
-        run.strict = scheduler.strict
-        run.rounds_by_element = [[]]
-        run.physical_total = np.zeros(1, dtype=np.int64)
-        run.cfg[:] = 0
-        run.units[:] = 0
-        run.changes[:] = 0
-        run.commits[:] = 0
-        run._w_done = [set()]
-        run._r_done = [set()]
+    key = (n, roles, fault_sig)  # ``roles`` is a fresh dict per call
+    pristine = scheduler._cached_phase1(key)
+    if pristine is not None:
+        run = ColumnarRun(
+            n, [roles], policy=pol, strict=scheduler.strict, phase1=[pristine]
+        )
         if obs is not None:
             obs.phase1(
-                live_switches=live_count,
+                live_switches=pristine.live,
                 logical_messages=0,
                 physical_messages=0,
                 cached=True,
@@ -1306,29 +666,26 @@ def run_columnar(
         trace.record_wave(n_links, n_links * UpWord.wire_words())
         if obs is not None:
             obs.phase1(
-                live_switches=int(run.live_switch_counts()[0]),
+                live_switches=run.counters[0].live,
                 logical_messages=n_links,
                 physical_messages=n_links,
                 cached=False,
             )
         if scheduler.reuse_phase1:
-            live_count = int(run.live_switch_counts()[0])
-            scheduler._phase1_cols_key = key
-            scheduler._phase1_cols = (run, run.phase1_snapshot(), live_count)
+            scheduler._phase1_cache = (key, run.counters[0].copy())
 
     max_rounds = len(cset) + 1  # Theorem 5 promises exactly `width` rounds
     down_words = n_links * 3  # DownWord.wire_words()
+    root_pending = run.counters[0].pending
+    rounds = run.rounds_by_element[0]
     round_no = 0
-    while True:
-        live = run.live_elements
-        if live.size == 0:
-            break
+    while root_pending.get(1, 0) > 0:
         if round_no >= max_rounds:
             raise SchedulingError(
                 f"CSA exceeded {max_rounds} rounds — algorithm failed to make "
                 "progress (this indicates a bug or invalid input)"
             )
-        (st,) = run.run_round(live)
+        (st,) = run.run_round((0,))
         trace.record_wave(
             n_links,
             down_words,
@@ -1336,9 +693,8 @@ def run_columnar(
             physical_words=st.physical * 3,
         )
         if network is not None:
-            record = run.rounds_by_element[0][round_no]
             pes = network.pes
-            for comm in record.performed:
+            for comm in rounds[round_no].performed:
                 datum = pes[comm.src].write(round_no)
                 receiver = pes[comm.dst]
                 if receiver.role is Role.DESTINATION:
@@ -1379,7 +735,7 @@ def run_columnar(
         cset=cset,
         n_leaves=n,
         scheduler_name=scheduler.name,
-        rounds=tuple(run.rounds_by_element[0]),
+        rounds=tuple(rounds),
         power=power,
         control_messages=trace.messages,
         control_words=trace.words,
@@ -1404,11 +760,10 @@ def schedule_batch(
 
     Every set runs on its own (virtual) ``n_leaves``-leaf tree; results are
     bit-identical to calling ``PADRScheduler(config=...).schedule(cset,
-    n_leaves)`` per set, but the per-wave work is batched across all sets
-    still live in a given round, amortising the kernel's fixed per-level
-    cost.  Sets of *any* mix are accepted — same-shape grouping (the
-    service layer's heuristic) maximises how long elements stay in lockstep
-    but is not required for correctness.
+    n_leaves)`` per set.  One Phase-1 reduction covers the whole batch;
+    each round then walks every still-live set in turn.  Sets of *any* mix
+    are accepted — same-shape grouping (the service layer's heuristic)
+    keeps elements in lockstep but is not required for correctness.
 
     Falls back to the per-set scalar scheduler when the configuration or
     power policy is outside the columnar guards (eager teardown,
@@ -1436,28 +791,25 @@ def schedule_batch(
     if cfg.validate_input:
         for cs in cset_list:
             require_well_nested(cs)
-    roles_list = [cs.roles() for cs in cset_list]
-    run = ColumnarRun(n_leaves, roles_list, policy=pol, strict=cfg.strict)
-    B = run.B
-    max_rounds = np.array([len(cs) + 1 for cs in cset_list], dtype=np.int64)
-    rounds_done = np.zeros(B, dtype=np.int64)
+    run = ColumnarRun(
+        n_leaves, [cs.roles() for cs in cset_list], policy=pol, strict=cfg.strict
+    )
     while True:
         live = run.live_elements
-        if live.size == 0:
+        if not live:
             break
-        over = rounds_done[live] >= max_rounds[live]
-        if over.any():
-            b = int(live[np.argmax(over)])
-            raise SchedulingError(
-                f"CSA exceeded {int(max_rounds[b])} rounds — algorithm failed "
-                "to make progress (this indicates a bug or invalid input)"
-            )
+        for b in live:
+            max_rounds = len(cset_list[b]) + 1
+            if len(run.rounds_by_element[b]) >= max_rounds:
+                raise SchedulingError(
+                    f"CSA exceeded {max_rounds} rounds — algorithm failed "
+                    "to make progress (this indicates a bug or invalid input)"
+                )
         run.run_round(live)
-        rounds_done[live] += 1
 
     if cfg.check_postconditions:
         run.check_counters_exhausted()
-        for b in range(B):
+        for b in range(run.B):
             run.check_obligations(b)
 
     n_links = 2 * n_leaves - 2
@@ -1473,7 +825,7 @@ def schedule_batch(
                 power=run.power_report(b),
                 control_messages=n_links * (1 + r),
                 control_words=n_links * (UpWord.wire_words() + 3 * r),
-                physical_messages=n_links + int(run.physical_total[b]),
+                physical_messages=n_links + run.physical_total[b],
             )
         )
     return schedules

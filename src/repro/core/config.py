@@ -19,6 +19,7 @@ consolidates them into a single frozen dataclass that
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Mapping
 
@@ -58,15 +59,12 @@ class SchedulerConfig:
         :class:`~repro.cst.engine.EngineTrace` (bounds memory on long
         streams; totals are always exact).
     ``engine``
-        explicit backend selection: ``"auto"`` (default — the columnar
-        struct-of-arrays kernel for trees of at least
-        ``columnar_threshold`` leaves, the frontier-pruned fast path
-        below), ``"fast"``, ``"columnar"`` or ``"reference"``.  Schedules
-        are bit-identical across all four (property-tested).
-    ``columnar_threshold``
-        the ``"auto"`` crossover: smallest ``n_leaves`` for which the
-        columnar kernel beats the per-switch fast path (measured by
-        ``scripts/run_perf_suite.py``; see DESIGN.md).
+        explicit backend selection: ``"auto"`` (default) and
+        ``"columnar"`` both take the columnar kernel at every tree size
+        wherever its guards hold, the per-switch fast path elsewhere;
+        ``"fast"`` always walks per-switch objects; ``"reference"`` is the
+        naive oracle.  Schedules are bit-identical across all four
+        (property-tested).
     ``trace_compat``
         force the per-switch slow path even where the columnar kernel
         would apply, preserving exact physical trace detail (event logs,
@@ -95,7 +93,6 @@ class SchedulerConfig:
     verify_steps: bool = True
     trace_wave_cap: int = EngineTrace.PER_WAVE_CAP
     engine: str = "auto"
-    columnar_threshold: int = 4096
     trace_compat: bool = False
     decompose: str = "strict"
     recfg_alpha: float = 0.0
@@ -113,10 +110,6 @@ class SchedulerConfig:
             raise SchedulingError(
                 f"engine={self.engine!r} contradicts fast_path=False"
             )
-        if self.columnar_threshold < 1:
-            raise SchedulingError(
-                f"columnar_threshold must be >= 1, got {self.columnar_threshold}"
-            )
         if self.decompose not in _DECOMPOSE_MODES:
             raise SchedulingError(
                 f"unknown decompose mode {self.decompose!r}; "
@@ -129,8 +122,8 @@ class SchedulerConfig:
 
     # -- engine wiring -------------------------------------------------------
 
-    def engine_cls(self, n_leaves: int) -> type[CSTEngine]:
-        """The engine class for a tree of ``n_leaves`` leaves.
+    def engine_cls(self) -> type[CSTEngine]:
+        """The engine class this configuration selects.
 
         Resolvable without instantiating a network, which is what lets the
         scheduler skip building one entirely on the columnar path.
@@ -139,61 +132,40 @@ class SchedulerConfig:
             return ReferenceWaveEngine
         if self.engine == "fast":
             return CSTEngine
-        if self.engine == "columnar":
-            return ColumnarWaveEngine
-        # "auto": columnar above the measured crossover, fast path below.
-        if n_leaves >= self.columnar_threshold:
-            return ColumnarWaveEngine
-        return CSTEngine
+        return ColumnarWaveEngine  # "auto" and "columnar"
 
     def selects_columnar(self, n_leaves: int) -> bool:
         """Whether a schedule on ``n_leaves`` leaves takes the columnar kernel
         (guards the network cannot veto — policy/fault state still can).
 
-        The service layer uses this to decide same-shape batch grouping, so
-        it must agree with the scheduler's own dispatch.
+        The kernel serves every tree size, so only the engine selection and
+        ``trace_compat`` decide.  The service layer uses this to decide
+        same-shape batch grouping, so it must agree with the scheduler's
+        own dispatch.
         """
-        if self.trace_compat or not self.fast_path:
-            return False
-        if self.engine == "columnar":
-            return True
-        return self.engine == "auto" and n_leaves >= self.columnar_threshold
+        return not self.trace_compat and self.engine_cls() is ColumnarWaveEngine
 
     def engine_factory(self) -> Callable[[CSTNetwork], CSTEngine]:
         """The engine constructor this configuration selects.
 
-        Size-independent selections (``engine="fast"`` / ``"reference"`` /
-        ``fast_path=False``) return the bare engine class object, so the
-        hot path keeps no wrapper in between.  Size-dependent selections
-        (``"auto"``, and ``"columnar"`` with a non-default trace cap)
-        return a factory that resolves the class per network; it carries
-        ``resolve_engine_cls`` so the scheduler can make the same decision
-        before any network exists.
+        With the default trace cap this is the bare engine class, so the
+        hot path keeps no wrapper in between.  Otherwise it is a factory
+        that applies the cap per instance and carries the class as
+        ``engine_cls``, so the scheduler can still tell the columnar kernel
+        apart before any network exists.
         """
+        engine_cls = self.engine_cls()
         cap = self.trace_wave_cap
-        default_cap = cap == EngineTrace.PER_WAVE_CAP
-        if not self.fast_path or self.engine in ("fast", "reference"):
-            engine_cls = self.engine_cls(0)
-            if default_cap:
-                return engine_cls
+        if cap == EngineTrace.PER_WAVE_CAP:
+            return engine_cls
 
-            def capped(network: CSTNetwork) -> CSTEngine:
-                engine = engine_cls(network)
-                engine.trace.PER_WAVE_CAP = cap  # instance override
-                return engine
-
-            return capped
-        if self.engine == "columnar" and default_cap:
-            return ColumnarWaveEngine
-
-        def factory(network: CSTNetwork) -> CSTEngine:
-            engine = self.engine_cls(network.topology.n_leaves)(network)
-            if not default_cap:
-                engine.trace.PER_WAVE_CAP = cap  # instance override
+        def capped(network: CSTNetwork) -> CSTEngine:
+            engine = engine_cls(network)
+            engine.trace.PER_WAVE_CAP = cap  # instance override
             return engine
 
-        factory.resolve_engine_cls = self.engine_cls
-        return factory
+        capped.engine_cls = engine_cls
+        return capped
 
     # -- scheduler builders --------------------------------------------------
 
@@ -228,6 +200,10 @@ class SchedulerConfig:
 
     def cache_signature(self) -> str:
         """Canonical string folded into schedule-cache keys."""
-        return ",".join(
-            f"{f.name}={getattr(self, f.name)}" for f in fields(self)
-        )
+        return _cache_signature(self)
+
+
+@functools.lru_cache(maxsize=64)
+def _cache_signature(config: SchedulerConfig) -> str:
+    # memoised: every service submission asks, and configs are frozen.
+    return ",".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config))

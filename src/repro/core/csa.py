@@ -30,7 +30,12 @@ from repro.comms.wellnested import require_well_nested
 from repro.core.base import ScheduleContext, Scheduler
 from repro.core.config import SchedulerConfig
 from repro.core.control import DownKind, DownWord, StoredState
-from repro.core.phase1 import pending_matched, run_phase1, run_phase1_vectorized
+from repro.core.phase1 import (
+    Phase1Counters,
+    pending_matched,
+    run_phase1,
+    run_phase1_vectorized,
+)
 from repro.core.phase2 import configure
 from repro.core.schedule import RoundRecord, Schedule
 from repro.cst.engine import CSTEngine
@@ -107,14 +112,15 @@ class PADRScheduler(Scheduler):
         #: in, single-set accounting stays untouched.
         self.reuse_phase1 = cfg.reuse_phase1 if reuse_phase1 is None else reuse_phase1
         self.obs = obs
-        self._phase1_key: tuple | None = None
-        self._phase1_states: dict[int, StoredState] | None = None
-        self._phase1_pending: list[int] | None = None
-        #: columnar-path Phase-1 cache (pristine counter arrays); kept
-        #: separate from the dict cache so a run can bounce between paths.
-        self._phase1_cols_key: tuple | None = None
-        self._phase1_cols: tuple | None = None
-        #: populated by :meth:`schedule` for introspection and tests.
+        #: the one Phase-1 reuse cache, ``(key, pristine counters)`` keyed
+        #: ``(n, roles, fault signature)``; the scalar path and the
+        #: columnar kernel both read and write it, so a stream whose first
+        #: step takes the kernel and later steps the scalar path (a used
+        #: network vetoes the kernel) still runs Phase 1 once.
+        self._phase1_cache: tuple[tuple, Phase1Counters] | None = None
+        #: populated by :meth:`schedule` for introspection and tests; the
+        #: columnar kernel keeps no per-switch states, so ``last_states`` is
+        #: ``None`` after a kernel run (pin ``engine="fast"`` to read them).
         self.last_network: CSTNetwork | None = None
         self.last_states: dict[int, StoredState] | None = None
 
@@ -200,26 +206,22 @@ class PADRScheduler(Scheduler):
     def _columnar_applicable(
         self, n: int, network: CSTNetwork | None, policy
     ) -> bool:
-        """Whether this run may take the struct-of-arrays Phase-2 kernel.
+        """Whether this run may take the columnar Phase-2 kernel.
 
         The engine selection must ask for it (a
-        :class:`~repro.cst.engine.ColumnarWaveEngine`, possibly resolved
-        per-size by the config's ``"auto"`` factory), ``trace_compat`` must
-        be off, the teardown policy lazy, and any caller-supplied network
-        pristine and healthy — the kernel reproduces the scalar engines'
-        final network state by write-back, which is only bit-identical from
-        a clean start.  Outside these guards the scalar fast path runs;
-        schedules are identical either way.
+        :class:`~repro.cst.engine.ColumnarWaveEngine`, which ``"auto"``
+        and ``"columnar"`` resolve to at every tree size), ``trace_compat``
+        must be off, the teardown policy lazy, and any caller-supplied
+        network pristine and healthy with no event log — the kernel
+        reproduces the scalar engines' final network state by write-back,
+        which is only bit-identical from a clean start.  Outside these
+        guards the scalar fast path runs; schedules are identical either
+        way.
         """
         factory = self.engine_factory
-        if isinstance(factory, type):
-            cls = factory
-        else:
-            resolve = getattr(factory, "resolve_engine_cls", None)
-            if resolve is None:
-                return False
-            cls = resolve(n)
-        if not getattr(cls, "supports_columnar_phase2", False):
+        if not isinstance(factory, type):
+            factory = getattr(factory, "engine_cls", None)
+        if not getattr(factory, "supports_columnar_phase2", False):
             return False
         if self.config.trace_compat:
             return False
@@ -234,6 +236,13 @@ class PADRScheduler(Scheduler):
             and meter.total_units == 0
             and meter.total_changes == 0
         )
+
+    def _cached_phase1(self, key: tuple) -> Phase1Counters | None:
+        """The pristine Phase-1 counters cached under ``key``, if reusing."""
+        cache = self._phase1_cache
+        if self.reuse_phase1 and cache is not None and cache[0] == key:
+            return cache[1]
+        return None
 
     def _phase1(
         self,
@@ -250,21 +259,16 @@ class PADRScheduler(Scheduler):
         under different hardware conditions.
         """
         key = (n, dict(roles), engine.network.fault_signature())
-        if self.reuse_phase1 and key == self._phase1_key:
-            assert self._phase1_states is not None and self._phase1_pending is not None
+        cached = self._cached_phase1(key)
+        if cached is not None:
             if obs is not None:
                 obs.phase1(
-                    live_switches=sum(
-                        1 for st in self._phase1_states.values() if not st.exhausted
-                    ),
+                    live_switches=cached.live,
                     logical_messages=0,
                     physical_messages=0,
                     cached=True,
                 )
-            return (
-                {v: st.copy() for v, st in self._phase1_states.items()},
-                list(self._phase1_pending),
-            )
+            return cached.to_states(n)
         msgs_before = engine.trace.messages
         phys_before = engine.trace.physical_messages
         if obs is not None:
@@ -281,10 +285,8 @@ class PADRScheduler(Scheduler):
                 cached=False,
             )
         if self.reuse_phase1:
-            # cache pristine copies before Phase 2 mutates the counters.
-            self._phase1_key = key
-            self._phase1_states = {v: st.copy() for v, st in states.items()}
-            self._phase1_pending = list(pending)
+            # cache pristine counters before Phase 2 mutates the states.
+            self._phase1_cache = (key, Phase1Counters.from_states(states, pending))
         return states, pending
 
     def _phase1_wave(self, engine: CSTEngine) -> dict[int, StoredState]:

@@ -23,7 +23,13 @@ from repro.cst.engine import CSTEngine
 from repro.exceptions import ProtocolError
 from repro.types import Role
 
-__all__ = ["run_phase1", "run_phase1_vectorized", "phase1_states", "pending_matched"]
+__all__ = [
+    "Phase1Counters",
+    "run_phase1",
+    "run_phase1_vectorized",
+    "phase1_states",
+    "pending_matched",
+]
 
 
 def run_phase1(engine: CSTEngine) -> dict[int, StoredState]:
@@ -184,6 +190,154 @@ def run_phase1_vectorized(engine: CSTEngine) -> dict[int, StoredState]:
     n_messages = 2 * n - 2
     engine.trace.record_wave(n_messages, n_messages * UpWord.wire_words())
     return states
+
+
+class Phase1Counters:
+    """One set's Phase-1 result, held for the switches it touches only.
+
+    ``m``, ``t4``, ``t3``, ``t2`` and ``t5`` map heap id to the five
+    ``C_S`` counters, and ``pending`` to the subtree matched total of
+    :func:`pending_matched`.  Each dict holds only the switches where its
+    value started non-zero; an absent switch reads 0.
+
+    The columnar kernel runs Phase 2 on these dicts directly.  Pristine,
+    they are also the scheduler's Phase-1 reuse cache entry, which the
+    scalar path reads and writes through :meth:`from_states` and
+    :meth:`to_states`, so a run may switch paths and still hit the cache.
+    """
+
+    __slots__ = ("m", "t4", "t3", "t2", "t5", "pending")
+
+    def __init__(
+        self,
+        m: dict[int, int],
+        t4: dict[int, int],
+        t3: dict[int, int],
+        t2: dict[int, int],
+        t5: dict[int, int],
+        pending: dict[int, int],
+    ) -> None:
+        self.m, self.t4, self.t3, self.t2, self.t5 = m, t4, t3, t2, t5
+        self.pending = pending
+
+    @classmethod
+    def from_roles(cls, n_leaves: int, roles: Mapping[int, Role]) -> "Phase1Counters":
+        """Phase 1 for one set, in time proportional to its pairs' paths.
+
+        The upward wave's ``M = min(S_L, D_R)`` reduction (Lemma 1) matches
+        each destination with the nearest unmatched source to its left —
+        the stack matching of the roles' parenthesis word, well-nested or
+        not.  The counters follow from that matching pair by pair: a pair
+        is matched (type 1) at the lowest common ancestor of its leaves,
+        and below it counts at each switch it climbs through as a left or
+        right source (types 4 and 2) or destination (types 3 and 5).  The
+        pair adds one to ``pending`` of its matching switch and every
+        ancestor.  Raises :class:`~repro.exceptions.ProtocolError`, as the
+        wave does, when some endpoint has no partner.
+        """
+        m: dict[int, int] = {}
+        t4: dict[int, int] = {}
+        t3: dict[int, int] = {}
+        t2: dict[int, int] = {}
+        t5: dict[int, int] = {}
+        pending: dict[int, int] = {}
+        open_sources: list[int] = []
+        lone_destinations = 0
+        for pe in sorted(roles):
+            role = roles[pe]
+            if role is Role.SOURCE:
+                open_sources.append(n_leaves + pe)
+                continue
+            if role is not Role.DESTINATION:
+                continue
+            if not open_sources:
+                lone_destinations += 1
+                continue
+            src, dst = open_sources.pop(), n_leaves + pe
+            while src >> 1 != dst >> 1:  # climb to the matching switch
+                up_src, up_dst = src >> 1, dst >> 1
+                if src & 1:
+                    t2[up_src] = t2.get(up_src, 0) + 1
+                else:
+                    t4[up_src] = t4.get(up_src, 0) + 1
+                if dst & 1:
+                    t5[up_dst] = t5.get(up_dst, 0) + 1
+                else:
+                    t3[up_dst] = t3.get(up_dst, 0) + 1
+                src, dst = up_src, up_dst
+            v = src >> 1
+            m[v] = m.get(v, 0) + 1
+            while v:
+                pending[v] = pending.get(v, 0) + 1
+                v >>= 1
+        if open_sources or lone_destinations:
+            raise ProtocolError(
+                f"unbalanced communication set: root would forward "
+                f"{UpWord(len(open_sources), lone_destinations)} to a "
+                "non-existent parent (some endpoint has no partner)"
+            )
+        return cls(m, t4, t3, t2, t5, pending)
+
+    def row(self, v: int) -> tuple[int, int, int, int, int]:
+        """Switch ``v``'s counters in the paper's order (see
+        :meth:`StoredState.as_tuple`)."""
+        return (
+            self.m.get(v, 0),
+            self.t4.get(v, 0),
+            self.t3.get(v, 0),
+            self.t2.get(v, 0),
+            self.t5.get(v, 0),
+        )
+
+    def switches(self) -> list[int]:
+        """Every switch holding a counter entry, ascending."""
+        return sorted(
+            self.m.keys() | self.t4.keys() | self.t3.keys() | self.t2.keys()
+            | self.t5.keys()
+        )
+
+    @property
+    def exhausted(self) -> bool:
+        """Every counter on every switch is zero."""
+        return not any(
+            any(col.values()) for col in (self.m, self.t4, self.t3, self.t2, self.t5)
+        )
+
+    @property
+    def live(self) -> int:
+        """Switches with a non-zero counter."""
+        return sum(1 for v in self.switches() if any(self.row(v)))
+
+    def copy(self) -> "Phase1Counters":
+        return Phase1Counters(
+            dict(self.m), dict(self.t4), dict(self.t3), dict(self.t2),
+            dict(self.t5), dict(self.pending),
+        )
+
+    @classmethod
+    def from_states(
+        cls, states: Mapping[int, StoredState], pending: list[int]
+    ) -> "Phase1Counters":
+        """The scalar path's pristine states and pending list, as counters."""
+        cols: tuple[dict[int, int], ...] = ({}, {}, {}, {}, {})
+        for v, st in states.items():
+            if not st.exhausted:
+                for col, value in zip(cols, st.as_tuple()):
+                    if value:
+                        col[v] = value
+        return cls(*cols, {v: p for v, p in enumerate(pending) if p})
+
+    def to_states(self, n_leaves: int) -> tuple[dict[int, StoredState], list[int]]:
+        """Fresh scalar-path states (every switch) and pending list."""
+        states: dict[int, StoredState] = dict.fromkeys(range(1, n_leaves), ZERO_STATE)
+        for v in self.switches():
+            row = self.row(v)
+            if any(row):
+                states[v] = StoredState(*row)
+        pending = [0] * (2 * n_leaves)
+        for v, p in self.pending.items():
+            pending[v] = p
+        return states, pending
 
 
 def pending_matched(states: Mapping[int, StoredState], n_leaves: int) -> list[int]:

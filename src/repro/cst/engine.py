@@ -128,7 +128,7 @@ class CSTEngine:
     prefers_vectorized_phase1 = True
 
     #: schedulers may replace the whole per-switch Phase-2 walk with the
-    #: struct-of-arrays kernel (:mod:`repro.core.columnar`) when this engine
+    #: columnar kernel (:mod:`repro.core.columnar`) when this engine
     #: runs it.  Off for the per-switch engines; see
     #: :class:`ColumnarWaveEngine`.
     supports_columnar_phase2 = False
@@ -297,7 +297,7 @@ class CSTEngine:
 
 
 class ColumnarWaveEngine(CSTEngine):
-    """Marker engine selecting the struct-of-arrays Phase-2 kernel.
+    """Marker engine selecting the columnar Phase-2 kernel.
 
     When :class:`~repro.core.csa.PADRScheduler` sees this engine (directly,
     or resolved through ``SchedulerConfig(engine="columnar"/"auto")``) and

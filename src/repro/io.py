@@ -123,8 +123,8 @@ def config_to_dict(config: Any) -> dict[str, Any]:
 
     This is the form the service layer ships to multiprocessing workers;
     every field — including engine selection (``engine``,
-    ``columnar_threshold``, ``trace_compat``) — round-trips exactly, so a
-    worker schedules under precisely the backend the caller selected.
+    ``trace_compat``) — round-trips exactly, so a worker schedules under
+    precisely the backend the caller selected.
     """
     return {
         "format": _CONFIG_FORMAT,

@@ -10,8 +10,8 @@ and keep only what is their own — the batch service its queue, one wave
 per tick and expiry timing; the streaming service admission, fair
 selection, the ``batch_window`` holdback and the chaos-drill claim — and
 each routes to an attached fabric itself.  Pending items are duck-typed:
-``request_id``, ``cset``, ``key``, ``payload``, ``attempts``,
-``eligible_tick`` and ``last_error``.
+``request_id``, ``cset``, ``key``, ``attempts``, ``eligible_tick`` and
+``last_error``.
 
 :class:`WorkerExecutor` is the one process boundary: the batch service's
 pool, every fabric shard and every in-process path run through it.
@@ -25,7 +25,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.core.config import SchedulerConfig
 from repro.exceptions import ReproError, SchedulingError
-from repro.io import result_from_dict, result_to_dict
+from repro.io import cset_to_dict, result_from_dict, result_to_dict
 from repro.obs.instrument import Instrumentation
 from repro.service import worker
 from repro.service.cache import ScheduleCache
@@ -139,18 +139,21 @@ class WorkerExecutor:
         return out
 
     def abort(self) -> None:
-        """Kill the workers, then drop the pool (idempotent).
+        """Kill the workers, reap them, then drop the pool (idempotent).
 
         Shutdown alone leaves a worker that is still running a call alive,
         and interpreter exit joins the pool's manager thread, which waits
         for that worker: a hung worker would hang the process at exit.
+        So the workers are killed first; the waiting shutdown then joins
+        the manager thread, which reaps every killed worker, and returns
+        only once none is left behind.
         """
         pool, self._pool = self._pool, None
         if pool is not None:
             # the executor exposes its worker processes only privately
             for process in list((pool._processes or {}).values()):
                 process.kill()
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def close(self) -> None:
         """Shut the pool down gracefully (idempotent)."""
@@ -190,8 +193,9 @@ class SettledPayload:
 
 
 def work_request(item: Any) -> WorkRequest:
-    """The payload-only form of a pending item that crosses the boundary."""
-    return (item.request_id, item.payload, item.key.n_leaves)
+    """The payload-only form of a pending item that crosses the boundary,
+    built only for the misses that execute (a cache hit never needs it)."""
+    return (item.request_id, cset_to_dict(item.cset), item.key.n_leaves)
 
 
 class RequestPipeline:

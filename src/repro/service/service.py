@@ -31,14 +31,13 @@ whole batch this way.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.comms.communication import CommunicationSet
 from repro.core.config import SchedulerConfig
 from repro.core.schedule import Schedule
 from repro.exceptions import ReproError, SchedulingError
-from repro.io import cset_to_dict
 from repro.obs.instrument import Instrumentation
 from repro.service.cache import CanonicalKey, canonical_signature
 from repro.service.pipeline import (
@@ -146,7 +145,6 @@ class _Pending:
     request_id: int  # the ticket id
     cset: CommunicationSet
     key: CanonicalKey
-    payload: dict[str, Any] = field(default_factory=dict)
     submit_tick: int = 0
     deadline_ticks: int = 0
     attempts: int = 0
@@ -272,7 +270,6 @@ class SchedulerService(RequestPipeline):
                 request_id=ticket_id,
                 cset=cset,
                 key=key,
-                payload=cset_to_dict(cset),
                 submit_tick=self._tick,
                 deadline_ticks=(
                     deadline if deadline is not None else self.default_deadline

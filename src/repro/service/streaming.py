@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import asyncio
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.comms.communication import CommunicationSet
 from repro.core.config import SchedulerConfig
 from repro.core.schedule import Schedule
 from repro.exceptions import ReproError, SchedulingError
-from repro.io import cset_to_dict
 from repro.obs.instrument import Instrumentation
 from repro.service.admission import (
     AdmissionController,
@@ -215,7 +214,6 @@ class _Live:
     request_id: int
     request: StreamRequest
     key: CanonicalKey
-    payload: dict[str, Any]
     release_tick: int
     deadline_tick: int
     attempts: int = 0
@@ -423,7 +421,6 @@ class StreamingSchedulerService(RequestPipeline):
                 request_id=rid,
                 request=req,
                 key=key,
-                payload=cset_to_dict(req.cset),
                 release_tick=release,
                 deadline_tick=release + req.deadline,
                 eligible_tick=release,

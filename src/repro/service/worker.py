@@ -54,8 +54,8 @@ def init_worker(config_data: dict[str, Any]) -> None:
 
     The config round-trips the same ``io``-level dict form the service
     ships across the process boundary, so engine selection (columnar /
-    fast / reference and the auto crossover) is honoured verbatim in
-    every worker — the pooled path never silently falls back.
+    fast / reference) is honoured verbatim in every worker — the pooled
+    path never silently falls back.
     """
     global _worker_scheduler, _worker_config
     _worker_config = config_from_dict(config_data)

@@ -51,20 +51,23 @@ class TestEngineSelection:
         assert factory is ColumnarWaveEngine
 
     def test_auto_factory_resolves_by_size(self):
-        cfg = SchedulerConfig(columnar_threshold=256)
-        factory = cfg.engine_factory()
-        assert factory.resolve_engine_cls(64) is CSTEngine
-        assert factory.resolve_engine_cls(256) is ColumnarWaveEngine
+        """``auto`` takes the columnar kernel at every tree size; a capped
+        factory still names its class before any network exists."""
+        cfg = SchedulerConfig()
+        assert cfg.engine_factory() is ColumnarWaveEngine
+        for n in (2, 16, 64, 256, 4096):
+            assert cfg.selects_columnar(n)
+        factory = SchedulerConfig(trace_wave_cap=2).engine_factory()
+        assert factory.engine_cls is ColumnarWaveEngine
         assert isinstance(factory(CSTNetwork.of_size(8)), CSTEngine)
 
     def test_engine_cls_matches_selects_columnar(self):
         for engine in ("auto", "fast", "columnar", "reference"):
             fast_path = engine != "reference"
-            cfg = SchedulerConfig(engine=engine, fast_path=fast_path,
-                                  columnar_threshold=128)
+            cfg = SchedulerConfig(engine=engine, fast_path=fast_path)
             for n in (8, 128, 4096):
                 assert cfg.selects_columnar(n) == (
-                    cfg.engine_cls(n) is ColumnarWaveEngine
+                    cfg.engine_cls() is ColumnarWaveEngine
                 )
 
     def test_trace_compat_vetoes_columnar(self):
@@ -80,8 +83,9 @@ class TestEngineSelection:
             SchedulerConfig(engine="columnar", fast_path=False)
 
     def test_bad_threshold_rejected(self):
+        """The retired ``columnar_threshold`` knob is refused loudly."""
         with pytest.raises(SchedulingError, match="columnar_threshold"):
-            SchedulerConfig(columnar_threshold=0)
+            SchedulerConfig.from_dict({"columnar_threshold": 0})
 
     def test_trace_cap_applied_per_instance(self):
         cfg = SchedulerConfig(trace_wave_cap=2)
@@ -104,9 +108,7 @@ class TestSerialization:
         assert SchedulerConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_round_trip_preserves_engine_selection(self):
-        cfg = SchedulerConfig(
-            engine="columnar", columnar_threshold=512, trace_compat=False
-        )
+        cfg = SchedulerConfig(engine="columnar", trace_compat=False)
         restored = SchedulerConfig.from_dict(cfg.to_dict())
         assert restored == cfg
         assert restored.selects_columnar(512) is True

@@ -15,6 +15,7 @@ from repro.comms.generators import (
     staircase,
 )
 from repro.comms.width import width
+from repro.core.config import SchedulerConfig
 from repro.core.csa import PADRScheduler
 from repro.cst.power import PowerPolicy
 from repro.analysis.verifier import verify_schedule
@@ -160,13 +161,15 @@ class TestDistributedDiscipline:
         per_wave = 2 * n - 2
         assert s.control_messages == per_wave * (1 + s.n_rounds)
 
+    # ``last_states``/``last_network`` introspect the per-switch objects,
+    # which only the scalar engines build.
     def test_final_state_exhausted(self):
-        sched = PADRScheduler()
+        sched = PADRScheduler(config=SchedulerConfig(engine="fast"))
         sched.schedule(crossing_chain(5))
         assert all(st.exhausted for st in sched.last_states.values())
 
     def test_all_pes_satisfied(self):
-        sched = PADRScheduler()
+        sched = PADRScheduler(config=SchedulerConfig(engine="fast"))
         sched.schedule(paper_figure2_set(), n_leaves=16)
         assert sched.last_network.all_done
 

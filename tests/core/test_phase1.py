@@ -7,11 +7,16 @@ from repro.exceptions import ProtocolError
 from repro.types import Role
 from repro.comms.communication import Communication, CommunicationSet
 from repro.comms.generators import crossing_chain, paper_figure2_set
-from repro.core.phase1 import phase1_states, run_phase1
+from repro.core.phase1 import (
+    Phase1Counters,
+    pending_matched,
+    phase1_states,
+    run_phase1,
+)
 from repro.cst.engine import CSTEngine
 from repro.cst.network import CSTNetwork
 
-from tests.conftest import wellnested_set_st
+from tests.conftest import arbitrary_set_st, wellnested_set_st
 
 
 def cs(*pairs):
@@ -138,3 +143,22 @@ class TestBruteForceCrossCheck:
                 f"switch {switch_id}: wave {states[switch_id]} != "
                 f"brute force {expected}"
             )
+
+
+class TestCountersFromRoles:
+    """The kernel's Phase 1 (pair by pair along the roles' matching) must
+    store exactly the upward wave's counters, for any role assignment."""
+
+    @given(arbitrary_set_st(max_pairs=10))
+    def test_from_roles_matches_the_wave(self, s):
+        n = 64
+        try:
+            states = phase1_states(s, n)
+        except ProtocolError:
+            with pytest.raises(ProtocolError, match="unbalanced"):
+                Phase1Counters.from_roles(n, s.roles())
+            return
+        counters = Phase1Counters.from_roles(n, s.roles())
+        want = Phase1Counters.from_states(states, pending_matched(states, n))
+        for name in ("m", "t4", "t3", "t2", "t5", "pending"):
+            assert getattr(counters, name) == getattr(want, name), name

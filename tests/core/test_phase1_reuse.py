@@ -51,9 +51,10 @@ class TestPhase1Reuse:
         cset = crossing_chain(4, N)
         reuse = PADRScheduler(reuse_phase1=True)
         reuse.schedule(cset, network=CSTNetwork.of_size(N))
-        # first run drained its states in place; cached copies must be intact.
-        assert reuse._phase1_states is not None
-        assert any(st.matched for st in reuse._phase1_states.values())
+        # first run drained its counters in place; the cached copy must be
+        # intact.
+        assert reuse._phase1_cache is not None
+        assert any(reuse._phase1_cache[1].m.values())
         # and a third run still schedules everything.
         s = reuse.schedule(cset, network=CSTNetwork.of_size(N))
         delivered = {c for r in s.rounds for c in r.performed}

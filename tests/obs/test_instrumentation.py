@@ -131,6 +131,20 @@ class TestStreamMetrics:
         assert snap["counters"]["csa.phase1.cache_hits{run=stream}"] == 2
         assert snap["histograms"]["stream.step_power_units{run=stream}"]["count"] == 3
 
+    @pytest.mark.parametrize(
+        "n, messages", [(16, [120, 90, 90]), (4096, [32760, 24570, 24570])]
+    )
+    def test_phase1_runs_once_across_kernel_and_scalar_steps(self, n, messages):
+        """Step 1 runs on the pristine network through the columnar kernel,
+        later steps on the used network through the scalar path; both read
+        one Phase-1 cache, so only step 1 pays the upward wave."""
+        obs = Instrumentation(MetricsRegistry(), run="stream")
+        result = StreamScheduler(obs=obs).run([crossing_chain(3)] * 3, n)
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["csa.phase1.runs{run=stream}"] == 1
+        assert counters["csa.phase1.cache_hits{run=stream}"] == 2
+        assert [s.schedule.control_messages for s in result.steps] == messages
+
 
 class TestObserveSchedule:
     def test_baseline_schedule_ingestion(self):

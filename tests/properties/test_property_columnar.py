@@ -1,8 +1,12 @@
-"""Columnar-kernel properties: batch parity and shape-key invariance.
+"""Columnar-kernel properties: fast-engine parity, batch parity and
+shape-key invariance.
 
-The struct-of-arrays kernel carries two contracts beyond the pairwise
-engine equality exercised in ``test_property_differential``:
+The columnar kernel carries three contracts beyond the pairwise engine
+equality exercised in ``test_property_differential``:
 
+* at every tree size ``engine="auto"`` serves (2 to 1024 leaves here) and
+  under every power policy the kernel equals ``engine="fast"``: every
+  serialized field, and a caller-supplied network's final state;
 * ``schedule_batch`` over any mix of sets is bit-identical to scheduling
   each set solo — batching is a pure throughput optimisation;
 * the service layer's same-shape grouping key ``(n_leaves, dyck,
@@ -16,10 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comms.generators import from_dyck_word
-from repro.core.columnar import ColumnarRun, schedule_batch
+from repro.core.columnar import schedule_batch
 from repro.core.config import SchedulerConfig
 from repro.core.csa import PADRScheduler
 from repro.cst.engine import ColumnarWaveEngine
+from repro.cst.network import CSTNetwork
+from repro.cst.power import PowerPolicy
+from repro.io import result_to_dict
 from repro.service.cache import canonical_signature
 
 from tests.conftest import dyck_word_st, wellnested_set_st
@@ -91,25 +98,69 @@ def test_shape_key_is_relabelling_invariant(word, data):
         assert shape_a == shape_b
 
 
-@given(cset=wellnested_set_st(max_pairs=8))
-@settings(max_examples=40, deadline=None)
-def test_scalar_and_vector_paths_identical(cset):
-    """The per-level scalar/vector hybrid is invisible.
+POLICIES = (PowerPolicy.paper(), PowerPolicy.htree(), PowerPolicy(unit_cost=2))
+FAST = SchedulerConfig(engine="fast")
+KERNEL = SchedulerConfig(engine="columnar")
 
-    Forcing every level through the scalar path (cutoff = inf) or every
-    level through the vector path (cutoff = 0) yields the same schedule
-    as the default hybrid.
+
+@st.composite
+def sized_sets_st(draw, max_sets: int = 4):
+    """``(n, sets)``: 1..max_sets well-nested sets on one 2..1024-leaf tree."""
+    n = 1 << draw(st.integers(min_value=1, max_value=10))
+    csets = draw(
+        st.lists(
+            wellnested_set_st(max_pairs=min(12, n // 2), n_leaves=n),
+            min_size=1,
+            max_size=max_sets,
+        )
+    )
+    return n, csets
+
+
+def _network_state(net):
+    switches = {
+        v: (sw.configuration, sw.config_changes, sw.rounds_committed)
+        for v, sw in net.switches.items()
+    }
+    meter = net.meter
+    return switches, meter.total_units, meter.total_changes, net.rounds_run
+
+
+@given(
+    sized=sized_sets_st(),
+    policy=st.sampled_from(POLICIES),
+    with_network=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_fast_engine(sized, policy, with_network):
+    """The kernel equals ``engine="fast"`` at every size, under every policy.
+
+    Every ``result_to_dict`` field matches for the first set run solo and
+    for every set of a mixed-shape ``schedule_batch``; a solo run on a
+    caller-supplied network also leaves it in the fast engine's final
+    state (crossbars, per-switch changes and commits, meter totals,
+    ``rounds_run``).
     """
-    saved = ColumnarRun.SCALAR_CUTOFF
-    try:
-        results = []
-        for cutoff in (0, 10**9, saved):
-            ColumnarRun.SCALAR_CUTOFF = cutoff
-            results.append(_solo(cset))
-    finally:
-        ColumnarRun.SCALAR_CUTOFF = saved
-    _assert_schedules_equal(results[0], results[1])
-    _assert_schedules_equal(results[0], results[2])
+    n, csets = sized
+    fast = PADRScheduler(config=FAST)
+    kernel = PADRScheduler(config=KERNEL)
+    want = [fast.schedule(cs, n_leaves=n, policy=policy) for cs in csets]
+    batched = schedule_batch(csets, n_leaves=n, config=KERNEL, policy=policy)
+    for got, ref in zip(batched, want):
+        assert result_to_dict(got) == result_to_dict(ref)
+
+    if with_network:
+        net_fast = CSTNetwork.of_size(n, policy=policy)
+        net_kernel = CSTNetwork.of_size(n, policy=policy)
+        ref = fast.schedule(csets[0], network=net_fast)
+        got = kernel.schedule(csets[0], network=net_kernel)
+        assert _network_state(net_kernel) == _network_state(net_fast)
+    else:
+        ref = want[0]
+        got = kernel.schedule(csets[0], n_leaves=n, policy=policy)
+    assert kernel.last_states is None  # the kernel ran, not the scalar path
+    assert result_to_dict(got) == result_to_dict(ref)
+    assert [r.staged for r in got.rounds] == [r.staged for r in ref.rounds]
 
 
 @given(cset=wellnested_set_st(max_pairs=6))

@@ -1,5 +1,7 @@
 """Property-based tests of the well-nested communication model."""
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,7 @@ from repro.comms.wellnested import (
 from repro.comms.width import edge_loads, width
 from repro.cst.topology import CSTTopology
 
-from tests.conftest import dyck_word_st, wellnested_set_st
+from tests.conftest import arbitrary_set_st, dyck_word_st, wellnested_set_st
 
 TOPO = CSTTopology.of(64)
 
@@ -97,3 +99,18 @@ def test_mirroring_preserves_nesting_structure(word):
     # depths are preserved under reflection
     back = mirrored.mirrored(n)
     assert nesting_depths(back) == nesting_depths(cset)
+
+
+@given(arbitrary_set_st(max_pairs=8))
+@settings(max_examples=300, deadline=None)
+def test_is_well_nested_matches_the_definition(cset):
+    """The one-sweep recogniser agrees with the definition: every
+    communication right-oriented and no two of them crossing."""
+
+    def crossing(a, b):
+        return a.src < b.src < a.dst < b.dst or b.src < a.src < b.dst < a.dst
+
+    expected = all(c.src < c.dst for c in cset) and not any(
+        crossing(a, b) for a, b in combinations(cset, 2)
+    )
+    assert is_well_nested(cset) == expected

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 import repro.service.service as service_mod
@@ -332,6 +334,22 @@ class TestPoolLifecycle:
         for p in procs:
             p.join(timeout=10)
             assert not p.is_alive()
+
+    def test_failed_drain_has_reaped_every_worker(self, batch, monkeypatch):
+        """abort() returns only once its killed workers are reaped, so every
+        worker reads SIGKILL's exit code the moment drain() raises."""
+        svc = SchedulerService(workers=2, parity_check=True)
+        svc([cs((0, 1))], n_leaves=32)  # forks the pool
+        svc.submit_many(batch, n_leaves=32)
+        procs = list(svc._executor._pool._processes.values())
+
+        def blown_parity(p, payload):
+            raise service_mod.ServiceParityError("injected mismatch")
+
+        monkeypatch.setattr(svc, "_assert_parity", blown_parity)
+        with pytest.raises(service_mod.ServiceParityError):
+            svc.drain()
+        assert [p.exitcode for p in procs] == [-signal.SIGKILL] * len(procs)
 
     def test_worker_crash_settles_transient_then_recovers(
         self, batch, monkeypatch, tmp_path

@@ -133,18 +133,16 @@ class TestConfigRoundTrip:
     def test_wrapped_roundtrip_preserves_engine_selection(self):
         from repro.core.config import SchedulerConfig
 
-        cfg = SchedulerConfig(
-            engine="columnar", columnar_threshold=512, trace_compat=False
-        )
+        cfg = SchedulerConfig(engine="fast", trace_compat=True)
         restored = config_from_dict(config_to_dict(cfg))
         assert restored == cfg
-        assert restored.engine == "columnar"
-        assert restored.columnar_threshold == 512
+        assert restored.engine == "fast"
+        assert restored.trace_compat is True
 
     def test_bare_field_dict_accepted(self):
         from repro.core.config import SchedulerConfig
 
-        cfg = SchedulerConfig(engine="auto", columnar_threshold=2048)
+        cfg = SchedulerConfig(engine="auto", trace_wave_cap=2048)
         assert config_from_dict(cfg.to_dict()) == cfg
 
     def test_json_serializable(self):
