@@ -20,6 +20,12 @@ unless every run delivers all pairs exactly once, keeps the batch count
 within [lower bound, greedy bound], and (sanity) a well-nested control
 input passes through as a single batch at the width optimum.  The
 overhead ratio vs the w-round optimum is always reported and recorded.
+
+It also gates the general path's two replays.  Every smoke set's payload
+with a supplied ``CSTNetwork.of_size(256)`` (switch objects, hop-by-hop
+tracing) must equal its payload without one (dict crossbar state), and
+the replay without a network must be at least ``SPEED_FLOOR`` times as
+fast: best of 5, alternating, networks built outside the timer.
 """
 
 from __future__ import annotations
@@ -28,12 +34,16 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
 from repro.comms.decompose import decompose, max_crossing_degree
 from repro.comms.generators import random_arbitrary, random_well_nested
+from repro.core.base import execute_round_plan
 from repro.core.config import SchedulerConfig
+from repro.cst.network import CSTNetwork
+from repro.io import result_to_dict
 
 RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_scaling.json"
 
@@ -41,6 +51,9 @@ N_LEAVES = 256
 FULL_PAIRS = (8, 16, 32, 48)
 FULL_SEEDS = (0, 1, 2, 3)
 SMOKE_RUNS = ((12, 11), (24, 12), (32, 13), (48, 14))  # (pairs, seed)
+#: the replay without a network must be at least this many times as fast.
+SPEED_FLOOR = 2.0
+SPEED_REPEATS = 5
 
 
 def greedy_bound(cset) -> int:
@@ -52,10 +65,13 @@ def greedy_bound(cset) -> int:
     return bound
 
 
+def arbitrary_set(pairs: int, seed: int):
+    return random_arbitrary(pairs, N_LEAVES, np.random.default_rng(seed))
+
+
 def run_one(pairs: int, seed: int, *, alpha: float = 0.0) -> dict:
     """Schedule one random arbitrary set through the auto door; gate it."""
-    rng = np.random.default_rng(seed)
-    cset = random_arbitrary(pairs, N_LEAVES, rng)
+    cset = arbitrary_set(pairs, seed)
     config = SchedulerConfig(decompose="auto", recfg_alpha=alpha)
     result = config.build().schedule(cset, n_leaves=N_LEAVES)
 
@@ -119,6 +135,53 @@ def well_nested_control(seed: int = 5) -> list[str]:
     return failures
 
 
+def network_checks(csets: list) -> list[str]:
+    """The general path with and without a supplied network: equal
+    payloads, and the dict replay at least ``SPEED_FLOOR`` times as fast.
+
+    The speed check times the replay itself, ``execute_round_plan`` on
+    each set's packed plan.  The decomposition and the per-batch kernel
+    runs around it are the same work on both paths.
+    """
+    scheduler = SchedulerConfig(decompose="auto").build()
+    failures = []
+    plans = []
+    for cset in csets:
+        result = scheduler.schedule(cset, n_leaves=N_LEAVES)
+        network = CSTNetwork.of_size(N_LEAVES)
+        on_network = scheduler.schedule(cset, network=network)
+        if result_to_dict(on_network) != result_to_dict(result):
+            failures.append(
+                f"{len(cset)} pairs: the payload on a supplied network differs "
+                "from the payload without one"
+            )
+        combined = getattr(result, "combined", result)
+        plans.append([list(r.performed) for r in combined.rounds])
+    best_dicts = best_network = float("inf")
+    for _ in range(SPEED_REPEATS):
+        networks = [CSTNetwork.of_size(N_LEAVES) for _ in csets]
+        start = perf_counter()
+        for cset, plan in zip(csets, plans):
+            execute_round_plan(cset, N_LEAVES, plan, "smoke")
+        best_dicts = min(best_dicts, perf_counter() - start)
+        start = perf_counter()
+        for cset, plan, network in zip(csets, plans, networks):
+            execute_round_plan(cset, N_LEAVES, plan, "smoke", network=network)
+        best_network = min(best_network, perf_counter() - start)
+    speedup = best_network / best_dicts
+    print(
+        f"plan replay over {len(csets)} sets, best of {SPEED_REPEATS}: "
+        f"{best_dicts * 1e3:.2f} ms on dict crossbar state, "
+        f"{best_network * 1e3:.2f} ms on supplied networks (x{speedup:.1f})"
+    )
+    if speedup < SPEED_FLOOR:
+        failures.append(
+            f"the replay without a network is only x{speedup:.2f} as fast as "
+            f"the supplied-network replay (floor x{SPEED_FLOOR})"
+        )
+    return failures
+
+
 def record(rows: list[dict], *, mode: str) -> None:
     payload = json.loads(RESULTS.read_text()) if RESULTS.exists() else {}
     payload["decompose"] = {
@@ -134,6 +197,7 @@ def run_smoke() -> int:
     rows = [run_one(pairs, seed) for pairs, seed in SMOKE_RUNS]
     failures = [f for row in rows for f in row["failures"]]
     failures += well_nested_control()
+    failures += network_checks([arbitrary_set(p, seed) for p, seed in SMOKE_RUNS])
     record(rows, mode="smoke")
     for f in failures:
         print(f"FAIL: {f}")

@@ -2,8 +2,9 @@
 
 A :class:`~repro.core.schedule.Schedule` records *what happened*; replay
 re-derives every switch setting from the tree geometry alone (the unique
-circuit of each performed communication), re-runs the rounds through a
-fresh network, and checks the outcome matches.  This closes two loops:
+circuit of each performed communication), re-runs the rounds on fresh
+dict crossbar state (:func:`repro.core.base.execute_round_plan` without a
+network), and checks the outcome matches.  This closes two loops:
 
 * **cross-validation of the CSA** — the distributed algorithm's rank-and-
   counter machinery must produce exactly realisable compatible rounds;
@@ -63,10 +64,11 @@ def replay_schedule(
     *,
     policy: PowerPolicy | None = None,
 ) -> ReplayReport:
-    """Re-execute ``schedule``'s rounds on a fresh network.
+    """Re-execute ``schedule``'s rounds on fresh crossbar state.
 
     The plan is taken from the recorded per-round deliveries; each round
-    is re-staged from ``path_connections`` and re-traced.  Raises
+    is re-routed from the tree geometry, checked edge-disjoint and
+    re-charged.  Raises
     :class:`~repro.exceptions.SchedulingError` if a recorded round is not
     realisable (incompatible), which for honestly-produced schedules can
     only mean the record was corrupted.

@@ -1,16 +1,17 @@
 """Scheduler abstraction and the shared round-plan executor.
 
 Every scheduler — the paper's CSA and all baselines — produces a
-:class:`~repro.core.schedule.Schedule` by actually driving a
-:class:`~repro.cst.network.CSTNetwork`: staging crossbar connections,
-committing rounds (which is where power is charged), transferring payloads
-and recording what tracing observed.  Centralized baselines share
-:func:`execute_round_plan`, which replays a precomputed per-round plan
-through the network; the CSA drives the network round by round from its
-distributed control waves instead.
+:class:`~repro.core.schedule.Schedule`: per round, the crossbar
+connections it staged and the communications it performed, and the power
+the commits were charged.  Centralized baselines and the general planner
+share :func:`execute_round_plan`, which replays a precomputed per-round
+plan; the CSA derives its rounds from its distributed control waves
+instead.  Without a caller-supplied network the replay runs on dict
+crossbar state (:mod:`repro.cst.crossbar`); with one it drives that
+network's switches and traces every payload hop by hop.
 
 Using one executor for all baselines keeps the power comparison fair: the
-meter, the teardown policy and the tracing are identical — only the round
+crossbar rule and the teardown policy are identical — only the round
 decomposition differs.
 
 The unified calling convention
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     ClassVar,
+    Mapping,
     Protocol,
     Sequence,
     runtime_checkable,
@@ -48,10 +50,12 @@ from typing import (
 from repro.comms.communication import Communication, CommunicationSet
 from repro.comms.wellnested import is_well_nested
 from repro.core.schedule import RoundRecord, Schedule, ScheduleStats
+from repro.cst.crossbar import Crossbars, Route, edge_str, route
 from repro.cst.network import CSTNetwork
 from repro.cst.power import PowerPolicy
+from repro.cst.topology import CSTTopology
 from repro.exceptions import NotWellNestedError, SchedulingError
-from repro.types import Connection
+from repro.types import LEGAL_CONNECTIONS, Connection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.instrument import Instrumentation
@@ -62,6 +66,7 @@ __all__ = [
     "ScheduleResult",
     "Scheduler",
     "execute_round_plan",
+    "replay_on_crossbars",
 ]
 
 #: Legal values for ``Scheduler.schedule(..., decompose=)`` and
@@ -242,26 +247,23 @@ def execute_round_plan(
     policy: PowerPolicy | None = None,
     network: CSTNetwork | None = None,
 ) -> Schedule:
-    """Replay a per-round plan through a real network and record everything.
+    """Replay a per-round plan, charging power per newly-established connection.
 
-    Each round's communications are routed along their unique tree paths;
-    the required crossbar connections are staged, the round committed
-    (power charged per newly-established connection), payloads transferred
-    and completions observed by tracing.  ``network`` replays the plan on a
-    caller-supplied network instead of a fresh one.  Raises
-    :class:`~repro.exceptions.SchedulingError` when the plan's rounds are
-    internally inconsistent (two communications claiming the same switch
-    port — the symptom of an incompatible round).
+    Each round's communications are routed along their unique tree paths
+    and the required crossbar connections are staged and committed.
+    Without ``network`` the replay runs on dict crossbar state
+    (:func:`replay_on_crossbars`).  A caller-supplied ``network`` is driven
+    for real instead: staged, committed switch by switch, and its payloads
+    traced hop by hop, so faults, event logs and earlier state all act.
+    Raises :class:`~repro.exceptions.SchedulingError` when the plan does
+    not perform exactly the set, or a round is not realisable (two
+    communications claiming the same switch port).
     """
-    planned = [c for rnd in plan for c in rnd]
-    if sorted(planned) != sorted(cset.comms):
-        raise SchedulingError(
-            f"{scheduler_name}: plan performs {len(planned)} communications, "
-            f"set has {len(cset)} (or contents differ)"
-        )
-
     if network is None:
-        network = CSTNetwork.of_size(n_leaves, policy=policy)
+        return replay_on_crossbars(
+            cset, n_leaves, plan, scheduler_name, policy=policy
+        )
+    _check_plan(cset, n_leaves, plan, scheduler_name)
     network.assign_roles(cset.roles())
     topo = network.topology
 
@@ -273,7 +275,7 @@ def execute_round_plan(
                 staged.setdefault(switch_id, []).append(conn)
         try:
             network.stage({k: tuple(v) for k, v in staged.items()})
-            network.commit_round()
+            network.commit_round(sorted(staged))
         except Exception as exc:  # port conflicts surface here
             raise SchedulingError(
                 f"{scheduler_name}: round {index} is not realisable on the "
@@ -307,3 +309,90 @@ def execute_round_plan(
         rounds=tuple(rounds),
         power=network.power_report(),
     )
+
+
+def replay_on_crossbars(
+    cset: CommunicationSet,
+    n_leaves: int,
+    plan: Sequence[Sequence[Communication]],
+    scheduler_name: str,
+    *,
+    policy: PowerPolicy | None = None,
+    routes: Mapping[Communication, Route] | None = None,
+) -> Schedule:
+    """:func:`execute_round_plan` without a network: dict crossbar state.
+
+    Every switch port is the end of exactly one directed tree edge
+    (``l_i``/``r_i``/``p_o`` face up-edges, ``l_o``/``r_o``/``p_i``
+    down-edges), so two circuits share a port exactly when they share a
+    directed edge.  A round is therefore realisable exactly when its
+    circuits are pairwise edge-disjoint, and then every staged circuit
+    delivers to its own destination: the plan's pairing is what a hop-by-hop
+    trace would observe.  Connections are charged through
+    :class:`~repro.cst.crossbar.Crossbars`, with the rules of
+    ``Switch.commit_round``.  ``routes`` supplies each pair's
+    :func:`~repro.cst.crossbar.route` when the caller already has them.
+    """
+    _check_plan(cset, n_leaves, plan, scheduler_name)
+    if routes is None:
+        routes = {c: route(n_leaves, c.src, c.dst) for c in cset}
+    crossbars = Crossbars(n_leaves, policy or PowerPolicy.paper())
+    rounds: list[RoundRecord] = []
+    for index, round_comms in enumerate(plan):
+        taken: set[int] = set()
+        staged: dict[int, list[int]] = {}
+        for c in round_comms:
+            edges, steps = routes[c]
+            if not taken.isdisjoint(edges):
+                shared = edge_str(min(taken.intersection(edges)))
+                raise SchedulingError(
+                    f"{scheduler_name}: round {index} is not realisable on the "
+                    f"crossbars (two circuits use {shared})"
+                )
+            taken.update(edges)
+            for v, k in steps:
+                if v in staged:
+                    staged[v].append(k)
+                else:
+                    staged[v] = [k]
+        crossbars.commit(staged)
+        performed = tuple(sorted(round_comms))
+        rounds.append(
+            RoundRecord(
+                index=index,
+                performed=performed,
+                writers=tuple(c.src for c in performed),
+                staged={
+                    v: tuple([LEGAL_CONNECTIONS[k] for k in ks])
+                    for v, ks in staged.items()
+                },
+            )
+        )
+
+    return Schedule(
+        cset=cset,
+        n_leaves=n_leaves,
+        scheduler_name=scheduler_name,
+        rounds=tuple(rounds),
+        power=crossbars.report(len(rounds)),
+    )
+
+
+def _check_plan(
+    cset: CommunicationSet,
+    n_leaves: int,
+    plan: Sequence[Sequence[Communication]],
+    scheduler_name: str,
+) -> None:
+    """The plan performs exactly the set, on a tree that hosts it."""
+    planned = [c for rnd in plan for c in rnd]
+    if sorted(planned) != sorted(cset.comms):
+        raise SchedulingError(
+            f"{scheduler_name}: plan performs {len(planned)} communications, "
+            f"set has {len(cset)} (or contents differ)"
+        )
+    CSTTopology.of(n_leaves)  # rejects a size that is no tree
+    if cset.max_pe >= n_leaves:
+        raise SchedulingError(
+            f"{scheduler_name}: set uses PE {cset.max_pe}, beyond n_leaves={n_leaves}"
+        )

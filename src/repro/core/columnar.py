@@ -56,6 +56,7 @@ from repro.comms.wellnested import require_well_nested
 from repro.core.control import UpWord
 from repro.core.phase1 import Phase1Counters
 from repro.core.schedule import RoundRecord, Schedule
+from repro.cst.crossbar import config_of, stage
 from repro.cst.power import PowerPolicy, PowerReport
 from repro.exceptions import ProtocolError, SchedulingError
 from repro.types import (
@@ -65,8 +66,6 @@ from repro.types import (
     CONN_L_UP,
     CONN_R_UP,
     Connection,
-    InPort,
-    OutPort,
     Role,
 )
 
@@ -83,11 +82,6 @@ __all__ = ["ColumnarRun", "run_columnar", "schedule_batch"]
 K_NONE, K_SRC, K_DST, K_BOTH = 0, 1, 2, 3
 
 _KIND_STR = ("[null,null]", "[s,null]", "[d,null]", "[s,d]")
-
-#: in-port index of a crossbar row: l_i, r_i, p_i.
-_IN_L, _IN_R, _IN_P = 0, 1, 2
-#: out-port codes: 0 = unconnected, then l_o, r_o, p_o.
-_OUT_NONE, _OUT_L, _OUT_R, _OUT_P = 0, 1, 2, 3
 
 #: the thirteen possible CONFIGURE staging outcomes (index 0 = stage
 #: nothing); tuples match :func:`repro.core.phase2.configure` exactly,
@@ -108,69 +102,14 @@ _COMBOS: tuple[tuple[Connection, ...], ...] = (
     (CONN_R_UP, CONN_DOWN_L, CONN_L_TO_R),  # 12 [s,d], crossed + piggyback
 )
 
-_CONN_PORTS: dict[Connection, tuple[int, int]] = {
-    CONN_L_TO_R: (_IN_L, _OUT_R),
-    CONN_L_UP: (_IN_L, _OUT_P),
-    CONN_R_UP: (_IN_R, _OUT_P),
-    CONN_DOWN_L: (_IN_P, _OUT_L),
-    CONN_DOWN_R: (_IN_P, _OUT_R),
-}
-
-_IN_PORTS = (InPort.L, InPort.R, InPort.P)
-_OUT_BY_CODE = {_OUT_L: OutPort.L, _OUT_R: OutPort.R, _OUT_P: OutPort.P}
-
-
-def _row(code: int) -> list[int]:
-    """Unpack a crossbar code ``l + 4r + 16p`` into its out-code per in-port."""
-    return [code & 3, (code >> 2) & 3, code >> 4]
-
-
-def _stage(code: int, combo: int) -> int:
-    """Stage ``combo`` on crossbar ``code``: ``new_code << 2 | charged``.
-
-    Lazy displacement as in ``SwitchConfiguration.with_connection``: an
-    in-port already driving a requested output loses its connection.  A
-    connection is charged when its in-port did not already drive its
-    output, which is exactly ``Switch.commit_round``'s ``new - old``.
-    """
-    row = _row(code)
-    charged = 0
-    for conn in _COMBOS[combo]:
-        in_idx, out_code = _CONN_PORTS[conn]
-        if row[in_idx] != out_code:
-            charged += 1
-        for other in (_IN_L, _IN_R, _IN_P):
-            if other != in_idx and row[other] == out_code:
-                row[other] = _OUT_NONE
-        row[in_idx] = out_code
-    return (row[0] + 4 * row[1] + 16 * row[2]) << 2 | charged
-
-
-#: every crossbar transition, indexed by ``code << 4 | combo``.
+#: every crossbar transition, indexed by ``code << 4 | combo``:
+#: ``new_code << 2 | charged``, from the one per-connection table of
+#: :mod:`repro.cst.crossbar`.
 _STAGED = tuple(
-    _stage(code, combo) if combo < len(_COMBOS) else 0
+    stage(code, _COMBOS[combo]) if combo < len(_COMBOS) else 0
     for code in range(64)
     for combo in range(16)
 )
-
-#: decoded ``SwitchConfiguration`` per crossbar code.  Configurations are
-#: immutable value objects, so one instance per distinct code can be
-#: shared across every switch written back.
-_CFG_CACHE: dict[int, Any] = {}
-
-
-def _config_of(code: int) -> Any:
-    conf = _CFG_CACHE.get(code)
-    if conf is None:
-        from repro.cst.switch import SwitchConfiguration
-
-        conns = [
-            Connection(_IN_PORTS[i], _OUT_BY_CODE[out])
-            for i, out in enumerate(_row(code))
-            if out
-        ]
-        conf = _CFG_CACHE.setdefault(code, SwitchConfiguration(conns))
-    return conf
 
 
 class _RoundStats:
@@ -595,7 +534,7 @@ class ColumnarRun:
         for v, committed in commits.items():
             sw = switches[v]
             code = cfg[v]
-            sw._config = _CFG_CACHE.get(code) or _config_of(code)
+            sw._config = config_of(code)
             sw.config_changes = changes.get(v, 0)
             sw.rounds_committed = committed
         meter = network.meter

@@ -4,9 +4,14 @@
 ``Scheduler.schedule(..., decompose="auto")``: it partitions an arbitrary
 set with :func:`repro.comms.decompose.decompose`, schedules every batch
 through the inner scheduler (any engine — reference, fast or columnar),
-then packs the per-batch round plans into one combined plan replayed on a
-*single* network, so crossbar state carries across batches and the lazy
-power model charges only real reconfigurations.
+then packs the per-batch round plans into one combined plan replayed on
+*one* crossbar state, so it carries across batches and the lazy power
+model charges only real reconfigurations.  The replay runs on dict
+crossbar state (:func:`repro.core.base.replay_on_crossbars`), or on the
+caller's network when one is supplied.  Each pair's route
+(:func:`repro.cst.crossbar.route`) is computed once per request; packing,
+the reconfiguration estimate, the input's width and the replay all read
+it.
 
 The packing step is where ``SchedulerConfig(recfg_alpha=...)`` bites.
 Rounds from different batches are often edge-compatible (opposite
@@ -26,16 +31,16 @@ single batch and the inner scheduler's result is returned unchanged
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.comms.communication import Communication, CommunicationSet
 from repro.comms.decompose import Decomposition, decompose
 from repro.core.schedule import Schedule, ScheduleStats
+from repro.cst.crossbar import CONNECT, Route, route
 from repro.cst.power import PowerPolicy
-from repro.cst.topology import CSTTopology
 from repro.exceptions import SchedulingError
-from repro.types import Connection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import Scheduler
@@ -51,8 +56,8 @@ GENERAL_SCHEDULER_NAME = "general-plan"
 class GeneralSchedule:
     """Result of scheduling an arbitrary set via well-nested decomposition.
 
-    ``combined`` is the actually-executed schedule (one network, crossbar
-    state carried across batches); the ``batch_*`` tuples record the
+    ``combined`` is the actually-executed schedule (one crossbar state,
+    carried across batches); the ``batch_*`` tuples record the
     per-batch reference runs in decomposition order, ``batch_order`` the
     order they were packed in.  ``optimum_rounds`` is the width of the
     *whole* input — the w-round bound a single well-nested batch would
@@ -161,39 +166,29 @@ class GeneralSchedule:
 
 def _plan_change_cost(
     plan: Sequence[Sequence[Communication]],
-    conns_of: Mapping[Communication, tuple[tuple[int, Connection], ...]],
+    routes: Mapping[Communication, Route],
 ) -> int:
-    """Configuration changes a plan incurs under the lazy persistence model.
+    """Connections a plan establishes under the lazy persistence model.
 
-    Mirrors the meter's charging rule: a staged connection already held on
-    both of its ports is free; anything else displaces the ports' current
-    occupants and costs one change.
+    Applies every route's steps through the crossbar table the replay
+    charges with (:data:`repro.cst.crossbar.CONNECT`): a connection
+    already held is free, anything else displaces its ports' occupants
+    and costs one.
     """
-    state: dict[int, dict[object, Connection]] = {}
+    codes: dict[int, int] = {}
     cost = 0
     for round_comms in plan:
         for c in round_comms:
-            for switch_id, conn in conns_of[c]:
-                ports = state.setdefault(switch_id, {})
-                if (
-                    ports.get(conn.in_port) == conn
-                    and ports.get(conn.out_port) == conn
-                ):
-                    continue
-                for occupant_key in (conn.in_port, conn.out_port):
-                    old = ports.get(occupant_key)
-                    if old is not None:
-                        ports.pop(old.in_port, None)
-                        ports.pop(old.out_port, None)
-                ports[conn.in_port] = conn
-                ports[conn.out_port] = conn
-                cost += 1
+            for v, k in routes[c][1]:
+                step = CONNECT[codes.get(v, 0) << 3 | k]
+                codes[v] = step >> 1
+                cost += step & 1
     return cost
 
 
 def _order_batches(
     batch_plans: Sequence[Sequence[Sequence[Communication]]],
-    conns_of: Mapping[Communication, tuple[tuple[int, Connection], ...]],
+    routes: Mapping[Communication, Route],
     alpha: float,
 ) -> list[int]:
     """Pack order over batches: greedy nearest-neighbour on simulated changes.
@@ -211,7 +206,7 @@ def _order_batches(
         for j in remaining:
             candidate = [r for i in order for r in batch_plans[i]]
             candidate.extend(batch_plans[j])
-            cost = _plan_change_cost(candidate, conns_of)
+            cost = _plan_change_cost(candidate, routes)
             if best_cost is None or cost < best_cost:
                 best_j, best_cost = j, cost
         order.append(best_j)
@@ -221,8 +216,7 @@ def _order_batches(
 
 def _pack_rounds(
     rounds: Sequence[Sequence[Communication]],
-    conns_of: Mapping[Communication, tuple[tuple[int, Connection], ...]],
-    topo: CSTTopology,
+    routes: Mapping[Communication, Route],
     alpha: float,
 ) -> list[list[Communication]]:
     """First-fit merge of edge-compatible rounds, gated by the α objective.
@@ -232,20 +226,20 @@ def _pack_rounds(
     the simulated change-count delta of merging vs appending.
     """
     slots: list[list[Communication]] = []
-    slot_edges: list[set] = []
+    slot_edges: list[set[int]] = []
     for round_comms in rounds:
-        edges: set = set()
+        edges: set[int] = set()
         for c in round_comms:
-            edges.update(topo.path_edges(c.src, c.dst))
+            edges.update(routes[c][0])
         placed = False
         for i in range(len(slots)):
             if not slot_edges[i].isdisjoint(edges):
                 continue
             if alpha > 0:
-                appended = _plan_change_cost([*slots, list(round_comms)], conns_of)
+                appended = _plan_change_cost([*slots, list(round_comms)], routes)
                 merged_slots = [list(s) for s in slots]
                 merged_slots[i].extend(round_comms)
-                merged = _plan_change_cost(merged_slots, conns_of)
+                merged = _plan_change_cost(merged_slots, routes)
                 if alpha * max(0, merged - appended) > 1.0:
                     continue
             slots[i].extend(round_comms)
@@ -299,6 +293,7 @@ def schedule_general(
         )
 
     dec = decomposition if decomposition is not None else decompose(cset)
+    routes = {c: route(n, c.src, c.dst) for c in cset}
 
     if dec.is_trivial:
         # Already schedulable directly: the inner result IS the combined
@@ -320,13 +315,14 @@ def schedule_general(
             batch_power=(direct.power.total_units,) if dec.batches else (),
             batch_order=tuple(range(dec.n_batches)),
             lower_bound=dec.lower_bound,
-            optimum_rounds=_input_width(cset, n),
+            optimum_rounds=_width(routes),
             combined=direct,
             decomposition=dec,
         )
 
     # -- per-batch reference runs (plans) --------------------------------
-    topo = CSTTopology.of(n)
+    # priced under the policy the combined run is charged with.
+    ref_policy = network.meter.policy if network is not None else policy
     batch_plans: list[list[list[Communication]]] = []
     batch_rounds: list[int] = []
     batch_power: list[int] = []
@@ -334,7 +330,7 @@ def schedule_general(
         ref = inner.schedule(
             batch.well_nested_form(n),
             n_leaves=n,
-            policy=policy,
+            policy=ref_policy,
             decompose="strict",
         )
         if batch.orientation == "right":
@@ -345,19 +341,20 @@ def schedule_general(
         batch_rounds.append(ref.n_rounds)
         batch_power.append(ref.power.total_units)
 
-    conns_of = {
-        c: tuple(topo.path_connections(c.src, c.dst).items()) for c in cset
-    }
-
-    order = _order_batches(batch_plans, conns_of, alpha)
+    order = _order_batches(batch_plans, routes, alpha)
     sequenced = [r for i in order for r in batch_plans[i]]
-    packed = _pack_rounds(sequenced, conns_of, topo, alpha)
+    packed = _pack_rounds(sequenced, routes, alpha)
 
-    from repro.core.base import execute_round_plan
+    from repro.core.base import execute_round_plan, replay_on_crossbars
 
-    combined = execute_round_plan(
-        cset, n, packed, GENERAL_SCHEDULER_NAME, policy=policy, network=network
-    )
+    if network is None:
+        combined = replay_on_crossbars(
+            cset, n, packed, GENERAL_SCHEDULER_NAME, policy=policy, routes=routes
+        )
+    else:
+        combined = execute_round_plan(
+            cset, n, packed, GENERAL_SCHEDULER_NAME, network=network
+        )
 
     result = GeneralSchedule(
         cset=cset,
@@ -368,7 +365,7 @@ def schedule_general(
         batch_power=tuple(batch_power),
         batch_order=tuple(order),
         lower_bound=dec.lower_bound,
-        optimum_rounds=_input_width(cset, n),
+        optimum_rounds=_width(routes),
         combined=combined,
         decomposition=dec,
     )
@@ -378,11 +375,11 @@ def schedule_general(
     return result
 
 
-def _input_width(cset: CommunicationSet, n_leaves: int) -> int:
-    """Width of the whole input — the single-batch w-round optimum."""
-    from repro.comms.width import width
-
-    return width(cset, CSTTopology.of(n_leaves))
+def _width(routes: Mapping[Communication, Route]) -> int:
+    """Width of the whole input — the single-batch w-round optimum: the
+    largest number of circuits on one directed edge."""
+    loads = Counter(e for edges, _ in routes.values() for e in edges)
+    return max(loads.values(), default=0)
 
 
 def _fold_general_obs(obs: "Instrumentation", result: GeneralSchedule) -> None:

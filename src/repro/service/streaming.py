@@ -593,6 +593,7 @@ class StreamingSchedulerService(RequestPipeline):
         #    columnar-eligible leader may wait up to batch_window ticks for
         #    shape peers, but never into its deadline slack.
         solos, lone, groups = self._group(leaders.values())
+        held: list[_Live] = []
         for live in lone:
             waited = now - live.release_tick
             # same boundary convention as _expire: the request is alive
@@ -605,12 +606,12 @@ class StreamingSchedulerService(RequestPipeline):
                 and slack > self.batch_window
             ):
                 # hold for peers; followers of a held leader hold with it.
-                self.tenants.requeue_front(live.tenant, [live])
-                for f in followers.pop(live.key.cache_key, []):
-                    self.tenants.requeue_front(f.tenant, [f])
+                held.append(live)
+                held.extend(followers.pop(live.key.cache_key, []))
                 self._inc("stream.batch_held")
             else:
                 solos.append(live)
+        self._requeue_front(held)
 
         if groups:
             self._inc("stream.shape_batches", len(groups))
@@ -621,13 +622,14 @@ class StreamingSchedulerService(RequestPipeline):
         #     detection) and then requeued for a healthy re-execution, so
         #     its eventual payload — and parity — are untouched.
         if self.chaos is not None and solos:
+            claimed: list[_Live] = []
             for victim in self.chaos.maybe_drill(solos, now):
                 solos.remove(victim)
                 victim.eligible_tick = now + 1  # healthy reroute next tick
-                self.tenants.requeue_front(victim.tenant, [victim])
-                for f in followers.pop(victim.key.cache_key, []):
-                    self.tenants.requeue_front(f.tenant, [f])
+                claimed.append(victim)
+                claimed.extend(followers.pop(victim.key.cache_key, []))
                 self._inc("stream.chaos_drills")
+            self._requeue_front(claimed)
 
         # 4. execute — on the fabric's forest when one is attached
         #    (routed per tenant so a tenant's stream stays on one tree),
@@ -646,6 +648,7 @@ class StreamingSchedulerService(RequestPipeline):
             )
 
         # 5. the settlement ladder, shared with the batch service.
+        again: list[_Live] = []
         for live, outcome, value in self._ladder(
             responses, leaders, followers, now
         ):
@@ -655,12 +658,22 @@ class StreamingSchedulerService(RequestPipeline):
                 if outcome == "retry":
                     self._inc("stream.retries")
                     self._retries_delta += 1
-                self.tenants.requeue_front(live.tenant, [live])
+                again.append(live)
             else:
                 settled.append(
                     self._settle(live, value, now, from_cache=outcome == "cached")
                 )
+        self._requeue_front(again)
         return settled
+
+    def _requeue_front(self, items: list[_Live]) -> None:
+        """Return items to the head of their tenants' queues in the order
+        given, so a leader stays ahead of the followers that trail it."""
+        by_tenant: dict[str, list[_Live]] = {}
+        for live in items:
+            by_tenant.setdefault(live.tenant, []).append(live)
+        for tenant, queued in by_tenant.items():
+            self.tenants.requeue_front(tenant, queued)
 
     def _settle(
         self, live: _Live, payload: dict[str, Any], now: int, *, from_cache: bool

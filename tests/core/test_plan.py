@@ -1,17 +1,27 @@
 """Tests for the general planner: arbitrary sets through the PADR core."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.comms.communication import Communication, CommunicationSet
 from repro.comms.decompose import decompose
-from repro.comms.generators import paper_figure2_set, random_arbitrary
+from repro.comms.generators import (
+    paper_figure2_set,
+    random_arbitrary,
+    random_well_nested,
+)
 from repro.core.base import ScheduleResult
 from repro.core.csa import PADRScheduler
 from repro.core.config import SchedulerConfig
 from repro.core.plan import GENERAL_SCHEDULER_NAME, GeneralSchedule, schedule_general
 from repro.core.schedule import Schedule
+from repro.cst.network import CSTNetwork
+from repro.cst.power import PowerPolicy
+from repro.cst.switch import Switch, SwitchConfiguration
+from repro.cst.topology import CSTTopology
 from repro.exceptions import NotWellNestedError, SchedulingError
 from repro.io import result_from_dict, result_to_dict, schedule_to_dict
 from tests.conftest import arbitrary_set_st
@@ -103,6 +113,59 @@ class TestScheduleGeneral:
         gs = schedule_general(cset, n_leaves=4, decomposition=dec)
         assert gs.decomposition is dec
         assert gs.n_batches == dec.n_batches
+
+
+class TestSuppliedNetwork:
+    def test_network_policy_prices_the_batch_runs(self):
+        # the per-batch reference runs are charged under the policy the
+        # combined run is charged with, whichever way it is supplied.
+        cset = cs((0, 5), (2, 7), (6, 1))
+        inner = SchedulerConfig().build()
+        plain = schedule_general(
+            cset, inner=inner, n_leaves=8, policy=PowerPolicy.htree()
+        )
+        on_net = schedule_general(
+            cset,
+            inner=inner,
+            network=CSTNetwork.of_size(8, policy=PowerPolicy.htree()),
+        )
+        assert plain.batch_power == on_net.batch_power == (20, 20, 20)
+        assert plain.power_overhead_units == on_net.power_overhead_units == -8
+        assert result_to_dict(on_net) == result_to_dict(plain)
+
+
+class TestNoNetworkBuilt:
+    """Without a network the general path replays on dict crossbar state:
+    it builds no network, switch or configuration object, and routes each
+    pair once, without the topology's path walks."""
+
+    COUNTED = [
+        (CSTNetwork, "__init__"),
+        (Switch, "__init__"),
+        (SwitchConfiguration, "__init__"),
+        (CSTTopology, "path_connections"),
+        (CSTTopology, "path_edges"),
+    ]
+
+    def test_general_fabric_like_sets(self, monkeypatch):
+        calls = Counter()
+        for owner, name in self.COUNTED:
+            original = getattr(owner, name)
+
+            def counted(*args, _key=f"{owner.__name__}.{name}", _f=original, **kw):
+                calls[_key] += 1
+                return _f(*args, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+        rng = np.random.default_rng(4)
+        sets = [random_arbitrary(pairs, 256, rng) for pairs in (4, 8, 16)]
+        sets.append(random_well_nested(8, 256, rng))
+        scheduler = SchedulerConfig(decompose="auto").build()
+        for cset in sets:
+            result = scheduler.schedule(cset, n_leaves=256)
+            assert sorted(result.delivered) == sorted(cset.comms)
+        assert isinstance(result, Schedule)  # the well-nested control
+        assert calls == Counter()
 
 
 class TestSchedulerDecomposeModes:

@@ -230,6 +230,7 @@ LADDER = [
     (cs((2, 3)), 3, ["permanent"]),
     (cs((4, 5)), 3, ["transient"]),  # until every copy's budget runs out
     (cs((6, 7)), 1, ["transient", "transient", "ok"]),
+    (cs((8, 9)), 3, ["transient", "ok"]),  # the leader retries ahead of its followers
 ]
 
 
@@ -308,7 +309,7 @@ class TestOneSettlementLadder:
     def test_each_rung(self, outcomes):
         rows = iter(outcomes["stream"])
         direct = PADRScheduler()
-        ok, permanent, exhausted, flaky = (
+        ok, permanent, exhausted, flaky, retried = (
             [next(rows) for _ in range(copies)] for _, copies, _ in LADDER
         )
         payload = schedule_to_dict(direct.schedule(LADDER[0][0], n_leaves=16))
@@ -322,3 +323,17 @@ class TestOneSettlementLadder:
         assert flaky == [
             ("done", 3, schedule_to_dict(direct.schedule(LADDER[3][0], n_leaves=16)))
         ]
+        # a retrying leader keeps its followers behind it: it settles on its
+        # second attempt and they are served from the cache it fills
+        payload = schedule_to_dict(direct.schedule(LADDER[4][0], n_leaves=16))
+        assert retried == [("done", 2, payload)] + [("done", 0, payload)] * 2
+
+    def test_held_leader_stays_ahead_of_its_followers(self):
+        svc = StreamingSchedulerService(batch_window=4, default_quota=ROOMY)
+        tickets = [
+            svc.submit(StreamRequest(cset=WELL, n_leaves=16, deadline=50))
+            for _ in range(3)
+        ]
+        assert svc.step() == []  # a lone shape: the leader waits for peers
+        queue = svc.tenants.get("default").queue
+        assert [live.request_id for live in queue] == [t.id for t in tickets]
