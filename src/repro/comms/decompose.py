@@ -37,12 +37,10 @@ __all__ = [
 ]
 
 
-def _crosses(a: Communication, b: Communication) -> bool:
-    """Partial interval overlap — the relation well-nestedness forbids."""
-    return (
-        a.leftmost < b.leftmost <= a.rightmost < b.rightmost
-        or b.leftmost < a.leftmost <= b.rightmost < a.rightmost
-    )
+def _spans(comms: Iterable[Communication]) -> list[tuple[int, int]]:
+    """Each interval's ``(leftmost, rightmost)``, read once per call: the
+    pairwise scans below compare plain ints, not properties."""
+    return [(c.src, c.dst) if c.src < c.dst else (c.dst, c.src) for c in comms]
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,15 +110,27 @@ class Decomposition:
 
 
 def _first_fit_layers(comms: Iterable[Communication]) -> list[list[Communication]]:
-    """First-fit well-nested layering, outermost-first (orientation-blind)."""
+    """First-fit well-nested layering, outermost-first (orientation-blind).
+
+    Every interval already in a layer starts at or left of the one being
+    placed, so the two cross exactly when the member starts strictly left
+    of it and ends inside it.
+    """
+    items = list(comms)
+    spans = _spans(items)
+    order = sorted(range(len(items)), key=lambda i: (spans[i][0], -spans[i][1]))
     layers: list[list[Communication]] = []
-    for c in sorted(comms, key=lambda c: (c.leftmost, -c.rightmost)):
-        for layer in layers:
-            if not any(_crosses(c, other) for other in layer):
-                layer.append(c)
+    layer_spans: list[list[tuple[int, int]]] = []
+    for i in order:
+        left, right = spans[i]
+        for members, member_spans in zip(layers, layer_spans):
+            if not any(a < left <= b < right for a, b in member_spans):
+                members.append(items[i])
+                member_spans.append(spans[i])
                 break
         else:
-            layers.append([c])
+            layers.append([items[i]])
+            layer_spans.append([spans[i]])
     return layers
 
 
@@ -131,12 +141,19 @@ def max_crossing_degree(comms: Iterable[Communication]) -> int:
     layers (greedy colouring bound) — the upper bound the smoke gate
     checks decompositions against.
     """
-    items = list(comms)
-    best = 0
-    for i, a in enumerate(items):
-        deg = sum(1 for j, b in enumerate(items) if i != j and _crosses(a, b))
-        best = max(best, deg)
-    return best
+    spans = sorted(_spans(comms))
+    degree = [0] * len(spans)
+    for i, (left, right) in enumerate(spans):
+        # a later interval starts at or right of this one; past ``right``
+        # it is disjoint, and so is every interval after it
+        for j in range(i + 1, len(spans)):
+            a, b = spans[j]
+            if a > right:
+                break
+            if left < a and right < b:
+                degree[i] += 1
+                degree[j] += 1
+    return max(degree, default=0)
 
 
 def crossing_lower_bound(comms: Iterable[Communication]) -> int:
@@ -152,19 +169,21 @@ def crossing_lower_bound(comms: Iterable[Communication]) -> int:
     Any decomposition into well-nested layers must place each clique member
     in its own layer, so this is a certified lower bound on layer count.
     """
-    items = sorted(comms, key=lambda c: c.leftmost)
-    if not items:
+    spans = sorted(_spans(comms), key=lambda span: span[0])
+    if not spans:
         return 0
+    lefts = [left for left, _ in spans]
     best = 1
-    for f in items:
-        eligible = [
-            c.rightmost
-            for c in items
-            if f.leftmost < c.leftmost <= f.rightmost < c.rightmost
-        ]
-        # eligible is already sorted by leftmost; LIS of rightmost values
+    for f_left, f_right in spans:
+        # candidates start in (f_left, f_right], a contiguous run of spans
         tails: list[int] = []
-        for r in eligible:
+        for j in range(bisect.bisect_right(lefts, f_left), len(spans)):
+            left, r = spans[j]
+            if left > f_right:
+                break
+            if r <= f_right:
+                continue
+            # LIS of the candidates' right endpoints, in left-endpoint order
             pos = bisect.bisect_left(tails, r)
             if pos == len(tails):
                 tails.append(r)

@@ -14,15 +14,19 @@ three jobs:
   tenant id instead (:meth:`route_tenant`) — one tenant's stream stays
   on one tree.  CRC-32, not :func:`hash`: the builtin is salted per
   process and would route the same key differently in every worker.
-* **execute** — fan a wave of requests out to their shards, one pickled
+* **execute** — fan a wave of requests out to their shards, one
   :func:`~repro.service.worker.schedule_many` call per shard per wave.
-  Each shard runs on its own single-process
+  Each shard has its own single-process
   :class:`~repro.service.pipeline.WorkerExecutor`, forked lazily from the
-  one :class:`~repro.core.config.SchedulerConfig`; ``parallel=False`` runs
-  every shard in-process (the executor's inline mode — the unit-test and
-  single-core story).  A shard whose worker dies or hangs mid-call is
-  killed and its requests reported transient, the same broken-pool
-  recovery the batch service's pool gets.
+  one :class:`~repro.core.config.SchedulerConfig`.  A wave goes to the
+  shards' workers only when the executor's dispatch rule
+  (:class:`~repro.service.pipeline.WaveCost`, judged across all the
+  wave's shards) says the pool pays back its round trip; otherwise every
+  shard's call runs in this process.  ``parallel=False`` (and a one-tree
+  fabric) has no pool at all — the unit-test and single-core story.  A
+  shard whose worker dies or hangs mid-call is killed and its requests
+  reported transient, the same broken-pool recovery the batch service's
+  pool gets.
 * **rebalance** — watch per-shard load over a sliding window and, when
   the max/mean skew exceeds ``rebalance_skew``, rotate the routing salt
   so future waves spread differently.  Rebalancing never touches the
@@ -53,7 +57,13 @@ from repro.fabric.aggregation import (
 )
 from repro.obs.instrument import Instrumentation
 from repro.service.cache import CanonicalKey
-from repro.service.pipeline import WorkerExecutor, WorkerPoolError
+from repro.service.pipeline import (
+    WaveCost,
+    WorkerExecutor,
+    WorkerPoolError,
+    dispatch,
+    record_dispatch,
+)
 from repro.service.worker import WorkRequest, WorkResponse
 from repro.util.bitmath import is_power_of_two
 
@@ -77,15 +87,18 @@ class FabricController:
         the one :class:`~repro.core.config.SchedulerConfig` every shard
         executor is initialised from.
     parallel:
-        ``True`` gives each shard its own single-process fork pool;
-        ``False`` executes every shard inline in this process (identical
-        results — the executor runs the same worker functions either way).
+        ``True`` gives each shard its own single-process fork pool, used
+        for the waves the dispatch rule sends there (so at most
+        ``tree_count`` processes per wave); ``False`` executes every shard
+        inline in this process (identical results — the executor runs the
+        same worker functions either way).
     rebalance_skew:
         max/mean per-shard load ratio above which the routing salt
         rotates.  ``0`` disables rebalancing.
     shard_timeout:
-        seconds to wait for one shard's wave result before declaring the
-        shard broken.  A dead worker surfaces at once (the executor's
+        seconds to wait for one shard's pooled wave result before
+        declaring the shard broken (an in-process wave is not bounded).
+        A dead worker surfaces at once (the executor's
         ``BrokenProcessPool``); the timeout is the backstop for a *hung*
         one.  Either way the shard's worker is killed and a fresh one
         forked for the next wave.  ``None`` waits forever.
@@ -134,6 +147,9 @@ class FabricController:
             WorkerExecutor(self.config, processes, shard_timeout)
             for _ in range(tree_count)
         ]
+        #: the dispatch rule's measurements for waves across the shards
+        #: (``None``: no pool)
+        self.cost = WaveCost() if processes else None
         self._direct = None  # lazy scheduler for schedule_global local legs
         #: lifetime requests executed per shard (metrics / bench surface)
         self.shard_load: list[int] = [0] * tree_count
@@ -167,9 +183,10 @@ class FabricController:
     ) -> list[WorkResponse]:
         """Run one wave: ``requests[i]`` executes on ``shards[i]``.
 
-        One ``schedule_many`` call per involved shard; shards run
-        concurrently when ``parallel``.  Response order is unspecified
-        (the services settle by ticket id).
+        One ``schedule_many`` call per involved shard.  With ``parallel``
+        the dispatch rule sends the whole wave to the shards' workers,
+        which run concurrently, or runs every call in this process.
+        Response order is unspecified (the services settle by ticket id).
         """
         if len(requests) != len(shards):
             raise SchedulingError(
@@ -190,20 +207,27 @@ class FabricController:
             self._gauge("fabric.shard.load", self.shard_load[shard], shard=shard)
         self._inc("fabric.requests", len(requests))
 
-        waves = [
-            (shard, reqs, self._executors[shard].start(reqs))
+        if self.cost is None:
+            out: list[WorkResponse] = []
+            for shard, reqs in by_shard.items():
+                out.extend(self._executors[shard].run(reqs))
+            return out
+        lanes = [
+            (self._executors[shard], self._executors[shard].calls(reqs))
             for shard, reqs in by_shard.items()
         ]
-        out: list[WorkResponse] = []
-        for shard, reqs, wave in waves:
-            try:
-                out.extend(self._executors[shard].finish(wave))
-            except WorkerPoolError as exc:
+        results, pooled, overhead = dispatch(self.cost, lanes)
+        record_dispatch(self.obs, "fabric", pooled, overhead)
+        out = []
+        for (shard, reqs), result in zip(by_shard.items(), results):
+            if isinstance(result, WorkerPoolError):
                 # the executor already killed this shard's worker; the
                 # service retries these requests on a fresh one.
                 self._inc("fabric.shard.broken")
-                err = f"shard {shard} worker failure: {exc}"
+                err = f"shard {shard} worker failure: {result}"
                 out.extend((tid, "transient", err) for tid, _, _ in reqs)
+            else:
+                out.extend(result)
         return out
 
     # -- rebalancing ---------------------------------------------------------

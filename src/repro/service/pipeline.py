@@ -14,14 +14,17 @@ each routes to an attached fabric itself.  Pending items are duck-typed:
 ``last_error``.
 
 :class:`WorkerExecutor` is the one process boundary: the batch service's
-pool, every fabric shard and every in-process path run through it.
+pool, every fabric shard and every in-process path run through it.  An
+executor with a pool sends a wave there only when :class:`WaveCost`'s
+measured rule says the pool pays back its round trip (:func:`dispatch`);
+otherwise the wave runs through the same worker functions in this process.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import Future
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.config import SchedulerConfig
 from repro.exceptions import ReproError, SchedulingError
@@ -35,17 +38,26 @@ from repro.service.worker import (
     init_worker,
     schedule_batch_request,
     schedule_many,
+    timed_call,
 )
 
 __all__ = [
     "RequestPipeline",
     "ServiceParityError",
     "SettledPayload",
+    "WaveCost",
     "WorkerExecutor",
     "WorkerPoolError",
+    "dispatch",
+    "pin_dispatch",
+    "predicted_units",
+    "record_dispatch",
+    "usable_cpus",
 ]
 
 Wave = tuple[list[Future], "float | None"]  # a started wave: futures, deadline
+#: one worker call: ``schedule_many`` or ``schedule_batch_request`` and its requests
+Call = tuple[Callable[[list[WorkRequest]], list[WorkResponse]], list[WorkRequest]]
 
 
 class ServiceParityError(ReproError):
@@ -57,19 +69,145 @@ class WorkerPoolError(RuntimeError):
     the executor has already killed the pool's workers."""
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+#: predicted work a request costs on top of ``pairs x (log2(n) + 1)``: its
+#: decode, result encoding and set-up, about a 48-pair-level kernel run
+REQUEST_UNITS = 48
+
+
+def predicted_units(requests: Iterable[WorkRequest]) -> int:
+    """A wave's predicted compute, in pair-levels.
+
+    The kernel's work follows each pair's two leaf-to-LCA paths, so a
+    request costs about ``pairs x log2(n)`` plus a fixed part; timed runs
+    turn units into seconds (:class:`WaveCost`).  A malformed payload
+    counts as empty: the worker rejects it at once.
+    """
+    units = 0
+    for _, data, n_leaves in requests:
+        comms = data.get("comms") if isinstance(data, dict) else None
+        pairs = len(comms) if isinstance(comms, list) else 0
+        depth = n_leaves.bit_length() if isinstance(n_leaves, int) else 1
+        units += pairs * depth + REQUEST_UNITS
+    return units
+
+
+class WaveCost:
+    """The dispatch rule and the measurements it reads.
+
+    A wave of ``units`` predicted work (:func:`predicted_units`), shipped
+    as ``calls`` worker calls to ``processes`` worker processes, goes to
+    the pool only when ::
+
+        units * (inline_s - pooled_s / C)  >  overhead_s,   C = min(calls, processes, cpus)
+
+    that is, when the compute the other ``C - 1`` processes take off the
+    critical path pays back what a pooled wave adds.  With one cost per
+    unit on both sides this is ``compute * (1 - 1/C) > overhead``; the two
+    are kept apart because a worker's compute runs measurably slower per
+    unit than the same calls in this process (1.4-1.8x on a 2-vCPU host,
+    where the workers share the CPUs with the parent).  Nothing is
+    configured:
+
+    * ``inline_s`` — seconds per unit of in-process waves, timed here;
+    * ``pooled_s`` — seconds per unit the workers report for pooled calls;
+    * ``overhead_s`` — a pooled wave's wall time minus its busiest
+      worker's reported compute (the slowest call when each worker runs
+      one; a wave with shape groups can have more calls than workers).
+
+    Each is the median of its last :attr:`SAMPLES` samples.  A wave that
+    forked the pool gives no sample (the fork is paid once, not per wave),
+    and nor does a wave during which this process ran a full garbage
+    collection: the pause lands on whichever side happens to be running,
+    so it measures neither.
+
+    A side counts as measured once it has :attr:`MEASURED` samples (one
+    early worker sample can read 2x the next); until then it is tried:
+    the pool first (every eligible wave — ``C >= 2`` — goes there), then
+    this process.  Every :attr:`REFRESH`-th eligible wave goes to the side
+    the rule did not pick, so neither side's numbers go stale.
+
+    The sample lists and ``cpus`` are plain attributes: a test substitutes
+    them to fix a decision.  ``pinned`` (see :func:`pin_dispatch`)
+    overrides the rule with a fixed side; samples are still taken.
+    """
+
+    SAMPLES = 9
+    MEASURED = 3
+    REFRESH = 64
+
+    def __init__(self) -> None:
+        self.pinned: bool | None = None
+        self.cpus = usable_cpus()
+        self.inline_samples: list[float] = []
+        self.pooled_samples: list[float] = []
+        self.overhead_samples: list[float] = []
+        self._eligible = 0
+
+    def pooled(self, units: int, calls: int, processes: int) -> bool:
+        """Whether a wave goes to the pool (the rule above)."""
+        if self.pinned is not None:
+            return self.pinned
+        c = min(calls, processes, self.cpus)
+        if c < 2:
+            return False
+        if len(self.overhead_samples) < self.MEASURED:
+            return True
+        if len(self.inline_samples) < self.MEASURED:
+            return False
+        inline, pooled, overhead = (
+            _median(samples)
+            for samples in (self.inline_samples, self.pooled_samples, self.overhead_samples)
+        )
+        choice = units * (inline - pooled / c) > overhead
+        self._eligible += 1
+        return not choice if self._eligible % self.REFRESH == 0 else choice
+
+    def add_inline(self, units: int, seconds: float) -> None:
+        if units > 0:
+            _push(self.inline_samples, seconds / units, self.SAMPLES)
+
+    def add_pooled(self, units: int, compute: float, overhead: float) -> None:
+        if units > 0:
+            _push(self.pooled_samples, compute / units, self.SAMPLES)
+            _push(self.overhead_samples, overhead, self.SAMPLES)
+
+
+def _median(samples: list[float]) -> float:
+    return sorted(samples)[len(samples) // 2]
+
+
+def _push(samples: list[float], value: float, keep: int) -> None:
+    samples.append(value)
+    if len(samples) > keep:
+        del samples[0]
+
+
 class WorkerExecutor:
     """Runs worker waves in this process or on a lazy fork pool.
 
-    ``processes <= 0`` runs inline, on
+    ``processes <= 0`` has no pool: every wave runs here, untimed.
+    Otherwise the first pooled wave forks a ``ProcessPoolExecutor`` of
+    ``processes`` workers initialised from ``config``, and :meth:`run` sends
+    a wave there only when :attr:`cost`'s rule says it pays
+    (:func:`dispatch`).  ``timeout`` seconds (``None``: forever) bound a
+    whole pooled wave.  In-process waves run on
     :data:`repro.service.worker._worker_scheduler`, reinstalled whenever the
     installed config differs from this executor's (services with different
-    configs share one process).  Otherwise the first wave forks a
-    ``ProcessPoolExecutor`` of ``processes`` workers initialised from
-    ``config``; ``timeout`` seconds (``None``: forever) bound a whole wave.
+    configs share one process).
 
-    A wave ships as one ``schedule_many`` call per worker plus one
-    ``schedule_batch_request`` per same-shape group, and its responses come
-    back in request order, singles first.
+    A wave is one ``schedule_many`` call per worker plus one
+    ``schedule_batch_request`` per same-shape group (:meth:`calls`), and its
+    responses come back in request order, singles first.
     """
 
     def __init__(
@@ -78,31 +216,48 @@ class WorkerExecutor:
         self.config = config
         self.processes = processes
         self.timeout = timeout
+        #: the dispatch rule's measurements (``None``: no pool)
+        self.cost = WaveCost() if processes > 0 else None
         self._pool: Any = None
 
-    def run(
+    def calls(
         self, singles: list[WorkRequest], groups: Iterable[list[WorkRequest]] = ()
-    ) -> list[WorkResponse]:
-        """Execute one wave and return every request's response."""
-        return self.finish(self.start(singles, groups))
-
-    def start(
-        self, singles: list[WorkRequest], groups: Iterable[list[WorkRequest]] = ()
-    ) -> Wave:
-        """Ship one wave without waiting for it (inline: run it now)."""
+    ) -> list[Call]:
+        """A wave as worker calls: the singles split evenly over the
+        workers, then one call per same-shape group."""
         step = max(1, -(-len(singles) // max(1, self.processes)))
-        calls = [
+        calls: list[Call] = [
             (schedule_many, singles[i : i + step])
             for i in range(0, len(singles), step)
         ]
         calls += [(schedule_batch_request, group) for group in groups]
-        if self.processes <= 0:
-            if worker._worker_config != self.config:
-                init_worker(self.config.to_dict())
-            futures = [Future() for _ in calls]
-            for future, (fn, arg) in zip(futures, calls):
-                future.set_result(fn(arg))
-            return futures, None
+        return calls
+
+    def run(
+        self, singles: list[WorkRequest], groups: Iterable[list[WorkRequest]] = ()
+    ) -> list[WorkResponse]:
+        """Execute one wave and return every request's response; a failed
+        pooled wave raises :class:`WorkerPoolError`."""
+        calls = self.calls(singles, groups)
+        if self.cost is None:
+            return self.inline(calls)
+        (out,), _, _ = dispatch(self.cost, [(self, calls)])
+        if isinstance(out, WorkerPoolError):
+            raise out
+        return out
+
+    def inline(self, calls: list[Call]) -> list[WorkResponse]:
+        """Run a wave's calls in this process."""
+        if worker._worker_config != self.config:
+            init_worker(self.config.to_dict())
+        out: list[WorkResponse] = []
+        for fn, requests in calls:
+            out.extend(fn(requests))
+        return out
+
+    def submit(self, calls: list[Call]) -> Wave:
+        """Ship a wave's calls to the pool without waiting for them,
+        forking the pool first if needed."""
         if self._pool is None:
             import multiprocessing as mp
             from concurrent.futures import ProcessPoolExecutor
@@ -116,15 +271,18 @@ class WorkerExecutor:
             )
         deadline = None if self.timeout is None else time.monotonic() + self.timeout
         try:
-            return [self._pool.submit(fn, arg) for fn, arg in calls], deadline
+            return [self._pool.submit(timed_call, fn, arg) for fn, arg in calls], deadline
         except Exception as exc:  # a worker died while idle: fail this wave
             failed: Future = Future()
             failed.set_exception(exc)
             return [failed], deadline
 
-    def finish(self, wave: Wave) -> list[WorkResponse]:
+    def finish(
+        self, wave: Wave, reports: list[tuple[int, float]] | None = None
+    ) -> list[WorkResponse]:
         """Wait for a started wave; on any failure kill the pool and raise
-        :class:`WorkerPoolError`."""
+        :class:`WorkerPoolError`.  Each call's ``(worker pid, compute
+        seconds)`` is appended to ``reports`` when given."""
         futures, deadline = wave
         out: list[WorkResponse] = []
         try:
@@ -132,7 +290,10 @@ class WorkerExecutor:
                 left = (
                     None if deadline is None else max(0.0, deadline - time.monotonic())
                 )
-                out.extend(future.result(timeout=left))
+                responses, seconds, pid = future.result(timeout=left)
+                out.extend(responses)
+                if reports is not None:
+                    reports.append((pid, seconds))
         except Exception as exc:
             self.abort()
             raise WorkerPoolError(repr(exc)) from exc
@@ -160,6 +321,96 @@ class WorkerExecutor:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+
+
+#: one wave's share for one executor: its calls
+Lane = tuple[WorkerExecutor, list[Call]]
+
+
+def dispatch(
+    cost: WaveCost, lanes: list[Lane]
+) -> tuple[list["list[WorkResponse] | WorkerPoolError"], bool, float | None]:
+    """Run one wave — each lane's calls on its executor — by ``cost``'s rule.
+
+    The batch service's wave is one lane on its pool; a fabric wave is one
+    lane per involved shard, each on its shard's single-process pool, so
+    ``processes`` is their sum.  In-process waves are timed here; pooled
+    calls report their own compute, and the wave's overhead is its wall
+    time minus the busiest worker's compute (:class:`WaveCost` says which
+    waves give no sample).  Returns each lane's responses
+    (or the :class:`WorkerPoolError` its pool raised — that lane's workers
+    are already killed), whether the wave went to the pool, and the
+    overhead sample it gave in seconds (``None``: none).
+    """
+    units = predicted_units(r for _, calls in lanes for _, requests in calls for r in requests)
+    processes = sum(executor.processes for executor, _ in lanes)
+    collections = _full_collections()
+    if not cost.pooled(units, sum(len(calls) for _, calls in lanes), processes):
+        start = time.perf_counter()
+        results: list[Any] = [executor.inline(calls) for executor, calls in lanes]
+        if _full_collections() == collections:
+            cost.add_inline(units, time.perf_counter() - start)
+        return results, False, None
+    forks = any(executor._pool is None for executor, _ in lanes)
+    reports: list[tuple[int, float]] = []
+    start = time.perf_counter()
+    waves = [executor.submit(calls) for executor, calls in lanes]
+    results = []
+    for (executor, _), wave in zip(lanes, waves):
+        try:
+            results.append(executor.finish(wave, reports))
+        except WorkerPoolError as exc:
+            results.append(exc)
+    wall = time.perf_counter() - start
+    if forks or _full_collections() != collections or any(
+        isinstance(r, WorkerPoolError) for r in results
+    ):
+        return results, True, None
+    busy: dict[int, float] = {}
+    for pid, seconds in reports:
+        busy[pid] = busy.get(pid, 0.0) + seconds
+    overhead = max(0.0, wall - max(busy.values(), default=0.0))
+    cost.add_pooled(units, sum(busy.values()), overhead)
+    return results, True, overhead
+
+
+def _full_collections() -> int:
+    """Full garbage collections this process has run so far."""
+    import gc
+
+    return gc.get_stats()[2]["collections"]
+
+
+def pin_dispatch(target: Any, pooled: bool | None) -> None:
+    """Pin the waves of a batch service's, fabric's or executor's pool:
+    ``True`` to the pool, ``False`` to this process, ``None`` back to the
+    measured rule.  Tests that fork, kill or hang workers pin the pool so
+    no assertion depends on timing; benchmarks pin a side to measure it.
+    """
+    owner = getattr(target, "_executor", target)
+    if owner.cost is None:
+        if pooled:
+            raise SchedulingError(f"{type(target).__name__} has no worker pool to pin")
+        return
+    owner.cost.pinned = pooled
+
+
+#: bucket bounds of the ``*.pool.overhead_ms`` histograms
+OVERHEAD_BUCKETS_MS = tuple(2.0**k for k in range(-4, 9))
+
+
+def record_dispatch(
+    obs: "Instrumentation | None", prefix: str, pooled: bool, overhead_s: float | None
+) -> None:
+    """Count one dispatched wave (``<prefix>.dispatch.inline`` / ``.pooled``)
+    and add its overhead sample to ``<prefix>.pool.overhead_ms``."""
+    if obs is None:
+        return
+    obs.metrics.inc(f"{prefix}.dispatch.{'pooled' if pooled else 'inline'}", run=obs.run)
+    if overhead_s is not None:
+        obs.metrics.histogram(
+            f"{prefix}.pool.overhead_ms", buckets=OVERHEAD_BUCKETS_MS, run=obs.run
+        ).observe(overhead_s * 1e3)
 
 
 class SettledPayload:
@@ -270,10 +521,20 @@ class RequestPipeline:
     def _run(
         self, singles: list[WorkRequest], groups: list[list[WorkRequest]]
     ) -> list[WorkResponse]:
-        """Step 4: execute one wave on this service's executor.  A broken
+        """Step 4: execute one wave on this service's executor — in this
+        process unless the dispatch rule sends it to the pool.  A broken
         pool reports every request transient, to retry on a fresh pool."""
+        executor = self._executor
         try:
-            return self._executor.run(singles, groups)
+            if executor.cost is None:
+                return executor.run(singles, groups)
+            (out,), pooled, overhead = dispatch(
+                executor.cost, [(executor, executor.calls(singles, groups))]
+            )
+            record_dispatch(self.obs, "service", pooled, overhead)
+            if isinstance(out, WorkerPoolError):
+                raise out
+            return out
         except WorkerPoolError as exc:
             self._inc("service.pool.broken")
             err = f"worker pool failure: {exc}"

@@ -18,14 +18,15 @@ infrastructure trouble and left to the service's retry/backoff loop
 (status ``"transient"``).
 
 :class:`~repro.service.pipeline.WorkerExecutor` calls these functions in
-a forked pool worker or, in its inline mode, in the caller's own process
-on :data:`_worker_scheduler` — the pooled and the in-process paths are
-one code path with one behaviour.
+a forked pool worker (through :func:`timed_call`, which reports each call's
+compute to the executor's dispatch rule) or in the caller's own process on
+:data:`_worker_scheduler` — the pooled and the in-process paths are one
+code path with one behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.config import SchedulerConfig
 from repro.exceptions import ReproError
@@ -38,6 +39,7 @@ __all__ = [
     "schedule_batch_request",
     "schedule_many",
     "schedule_request",
+    "timed_call",
 ]
 
 #: (ticket_id, serialized communication set, n_leaves)
@@ -115,3 +117,16 @@ def schedule_many(requests: list[WorkRequest]) -> list[WorkResponse]:
     each settles independently with its own status.
     """
     return [schedule_request(r) for r in requests]
+
+
+def timed_call(
+    fn: Callable[[list[WorkRequest]], list[WorkResponse]], requests: list[WorkRequest]
+) -> tuple[list[WorkResponse], float, int]:
+    """Run one pooled call; return its responses, the seconds of compute it
+    took and this worker's pid (the executor's dispatch rule reads both)."""
+    import os
+    import time
+
+    start = time.perf_counter()
+    responses = fn(requests)
+    return responses, time.perf_counter() - start, os.getpid()

@@ -1,12 +1,16 @@
 """Unit and property tests for well-nested decomposition of arbitrary sets."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comms.communication import Communication, CommunicationSet
 from repro.comms.decompose import (
     Batch,
+    _first_fit_layers,
     crossing_lower_bound,
     decompose,
     max_crossing_degree,
@@ -17,7 +21,7 @@ from repro.comms.generators import (
     random_arbitrary,
 )
 from repro.comms.wellnested import is_well_nested
-from tests.conftest import arbitrary_set_st, wellnested_set_st
+from tests.conftest import arbitrary_set_st, communication_st, wellnested_set_st
 
 
 def cs(*pairs):
@@ -182,3 +186,99 @@ class TestBatchShape:
     def test_left_well_nested_form_mirrors(self):
         batch = decompose(cs((3, 0))).batches[0]
         assert batch.well_nested_form(4) == cs((3, 0)).mirrored(4)
+
+
+# -- the pairwise oracle ------------------------------------------------------
+# The decomposition's first implementation, comparing intervals through the
+# Communication properties.  The int-span rewrite must agree with it exactly.
+
+
+def _oracle_crosses(a, b):
+    return (
+        a.leftmost < b.leftmost <= a.rightmost < b.rightmost
+        or b.leftmost < a.leftmost <= b.rightmost < a.rightmost
+    )
+
+
+def _oracle_first_fit_layers(comms):
+    layers = []
+    for c in sorted(comms, key=lambda c: (c.leftmost, -c.rightmost)):
+        for layer in layers:
+            if not any(_oracle_crosses(c, other) for other in layer):
+                layer.append(c)
+                break
+        else:
+            layers.append([c])
+    return layers
+
+
+def _oracle_max_crossing_degree(comms):
+    items = list(comms)
+    best = 0
+    for i, a in enumerate(items):
+        deg = sum(1 for j, b in enumerate(items) if i != j and _oracle_crosses(a, b))
+        best = max(best, deg)
+    return best
+
+
+def _oracle_crossing_lower_bound(comms):
+    items = sorted(comms, key=lambda c: c.leftmost)
+    if not items:
+        return 0
+    best = 1
+    for f in items:
+        eligible = [
+            c.rightmost
+            for c in items
+            if f.leftmost < c.leftmost <= f.rightmost < c.rightmost
+        ]
+        tails = []
+        for r in eligible:
+            pos = bisect.bisect_left(tails, r)
+            if pos == len(tails):
+                tails.append(r)
+            else:
+                tails[pos] = r
+        best = max(best, 1 + len(tails))
+    return best
+
+
+def _oracle_batches(cset):
+    out = []
+    for orientation, subset in (
+        ("right", cset.right_oriented_subset()),
+        ("left", cset.left_oriented_subset()),
+    ):
+        if len(subset):
+            out += [
+                (orientation, list(CommunicationSet(layer).comms))
+                for layer in _oracle_first_fit_layers(subset.comms)
+            ]
+    return out
+
+
+class TestIntSpansMatchThePairwiseOracle:
+    """The int-span scans give the pairwise code's batches, in its order,
+    and both of its bounds."""
+
+    @given(cset=arbitrary_set_st(max_pairs=24, n_leaves=128))
+    @settings(max_examples=200, deadline=None)
+    def test_decomposition_equals_oracle(self, cset):
+        dec = decompose(cset)
+        assert [(b.orientation, list(b.cset.comms)) for b in dec] == _oracle_batches(cset)
+        assert [b.index for b in dec] == list(range(dec.n_batches))
+        lower = sum(
+            _oracle_crossing_lower_bound(subset.comms)
+            for subset in (cset.right_oriented_subset(), cset.left_oriented_subset())
+            if len(subset)
+        )
+        assert dec.lower_bound == lower
+
+    @given(comms=st.lists(communication_st(n_leaves=24), max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_equal_oracle_on_any_intervals(self, comms):
+        # shared endpoints, repeats and equal left ends included: the bound
+        # functions accept any iterable of communications
+        assert max_crossing_degree(comms) == _oracle_max_crossing_degree(comms)
+        assert crossing_lower_bound(comms) == _oracle_crossing_lower_bound(comms)
+        assert _first_fit_layers(comms) == _oracle_first_fit_layers(comms)

@@ -12,6 +12,7 @@ from repro.fabric import FabricController
 from repro.io import cset_to_dict, schedule_from_dict
 from repro.obs import Instrumentation, MetricsRegistry
 from repro.service.cache import canonical_signature
+from repro.service.pipeline import pin_dispatch
 from repro.service.workloads import mixed_workloads
 
 
@@ -88,6 +89,7 @@ class TestExecute:
         inline = FabricController(2, 16, parallel=False)
         a = {tid: payload for tid, _, payload in inline.execute(reqs, shards)}
         with FabricController(2, 16) as pooled:
+            pin_dispatch(pooled, True)
             b = {
                 tid: payload for tid, _, payload in pooled.execute(reqs, shards)
             }
@@ -120,6 +122,7 @@ class TestExecute:
         # come back transient, the pool is discarded, and the next wave
         # runs on a fresh worker.
         with FabricController(2, 8, shard_timeout=5.0) as fab:
+            pin_dispatch(fab, True)
             fab.execute([work(cs((0, 1)), 8, 0)], [0])  # spawn the pool
             victim = next(iter(fab._executors[0]._pool._processes))
             os.kill(victim, signal.SIGKILL)
@@ -192,6 +195,7 @@ class TestMetricsAndLifecycle:
 
     def test_close_is_idempotent_and_context_manager(self):
         with FabricController(2, 8) as fab:
+            pin_dispatch(fab, True)
             fab.execute([work(cs((0, 1)), 8)], [0])
         fab.close()
         fab.terminate()

@@ -34,7 +34,7 @@ from repro.service import (
     StreamStatus,
     TenantQuota,
 )
-from repro.service.pipeline import WorkerExecutor, WorkerPoolError
+from repro.service.pipeline import WorkerExecutor, WorkerPoolError, pin_dispatch
 
 
 def cs(*pairs):
@@ -119,6 +119,7 @@ class TestAbortKillsWorkers:
     def test_batch_pool_worker_dies_after_timeout(self, monkeypatch):
         monkeypatch.setattr(worker_mod, "schedule_request", _hang_on_poison)
         svc = SchedulerService(workers=2, pool_timeout=2.0, max_retries=0)
+        pin_dispatch(svc, True)
         with svc:
             assert svc([cs((0, 1))], n_leaves=8).n_done == 1  # forks the pool
             processes = list(svc._executor._pool._processes.values())
@@ -132,6 +133,7 @@ class TestAbortKillsWorkers:
     def test_fabric_shard_worker_dies_after_timeout(self, monkeypatch):
         monkeypatch.setattr(worker_mod, "schedule_request", _hang_on_poison)
         with FabricController(2, 8, shard_timeout=2.0) as fab:
+            pin_dispatch(fab, True)
             ok = cset_to_dict(cs((0, 1)))
             fab.execute([(0, ok, 8), (1, ok, 8)], [0, 1])  # forks both shards
             processes = list(fab._executors[0]._pool._processes.values())
@@ -155,6 +157,7 @@ class TestAbortKillsWorkers:
             from repro.comms.communication import Communication, CommunicationSet
             from repro.fabric import FabricController
             from repro.io import cset_to_dict
+            from repro.service.pipeline import pin_dispatch
 
             real = worker.schedule_request
 
@@ -166,6 +169,7 @@ class TestAbortKillsWorkers:
             worker.schedule_request = hang
             payload = cset_to_dict(CommunicationSet([Communication(0, 1)]))
             fab = FabricController(2, 16, shard_timeout=2.0)
+            pin_dispatch(fab, True)
             out = fab.execute([(0, payload, 16), (1, payload, 16)], [0, 1])
             statuses = {tid: status for tid, status, _ in out}
             assert statuses == {0: "transient", 1: "ok"}, statuses
@@ -192,8 +196,9 @@ class TestWorkerExecutor:
         singles = [(i, ok, 8) for i in range(5)]
         groups = [[(5, ok, 8), (6, ok, 8)], [(7, ok, 8), (8, ok, 8)]]
         executor = WorkerExecutor(SchedulerConfig(), processes=2, timeout=60.0)
+        pin_dispatch(executor, True)
         try:
-            futures, _ = wave = executor.start(singles, groups)
+            futures, _ = wave = executor.submit(executor.calls(singles, groups))
             assert len(futures) == 2 + len(groups)
             out = executor.finish(wave)
         finally:
@@ -203,6 +208,7 @@ class TestWorkerExecutor:
 
     def test_idle_worker_death_fails_only_the_next_wave(self):
         executor = WorkerExecutor(SchedulerConfig(), processes=1, timeout=30.0)
+        pin_dispatch(executor, True)
         request = (0, cset_to_dict(cs((0, 1))), 8)
         try:
             executor.run([request])

@@ -20,6 +20,7 @@ from repro.service import (
     ServiceParityError,
     mixed_workloads,
 )
+from repro.service.pipeline import pin_dispatch
 
 
 def cs(*pairs):
@@ -197,6 +198,7 @@ class TestPool:
         with SchedulerService(workers=2) as pooled, SchedulerService(
             workers=1
         ) as inline:
+            pin_dispatch(pooled, True)
             pr = pooled(batch, n_leaves=32)
             ir = inline(batch, n_leaves=32)
         pooled_payloads = [pr.results[t].payload for t in sorted(pr.schedules())]
@@ -205,6 +207,7 @@ class TestPool:
 
     def test_close_is_idempotent(self):
         svc = SchedulerService(workers=2)
+        pin_dispatch(svc, True)
         svc([cs((0, 1))], n_leaves=8)
         svc.close()
         svc.close()
@@ -263,6 +266,7 @@ class TestSameShapeBatching:
         with SchedulerService(
             workers=workers, config=cfg, obs=obs, parity_check=True
         ) as svc:
+            pin_dispatch(svc, workers > 1)
             report = svc(batch, n_leaves=32)
         assert report.n_done == len(batch)
         counters = obs.metrics.snapshot()["counters"]
@@ -287,6 +291,7 @@ class TestSameShapeBatching:
         batch = self._same_shape_batch(copies=4)
         cfg = SchedulerConfig(engine="columnar")
         with SchedulerService(workers=2, config=cfg, parity_check=True) as svc:
+            pin_dispatch(svc, True)
             report = svc(batch, n_leaves=32)
         direct = PADRScheduler(config=cfg)
         expected = [schedule_to_dict(direct.schedule(c, n_leaves=32)) for c in batch]
@@ -319,6 +324,7 @@ class TestPoolLifecycle:
 
     def test_failed_drain_leaves_no_live_workers(self, batch, monkeypatch):
         svc = SchedulerService(workers=2, parity_check=True)
+        pin_dispatch(svc, True)
         svc([cs((0, 1))], n_leaves=32)  # forks the pool
         svc.submit_many(batch, n_leaves=32)
         procs = list(svc._executor._pool._processes.values())
@@ -339,6 +345,7 @@ class TestPoolLifecycle:
         """abort() returns only once its killed workers are reaped, so every
         worker reads SIGKILL's exit code the moment drain() raises."""
         svc = SchedulerService(workers=2, parity_check=True)
+        pin_dispatch(svc, True)
         svc([cs((0, 1))], n_leaves=32)  # forks the pool
         svc.submit_many(batch, n_leaves=32)
         procs = list(svc._executor._pool._processes.values())
@@ -363,6 +370,7 @@ class TestPoolLifecycle:
             pool_timeout=5.0,
             obs=Instrumentation(reg, run="t"),
         )
+        pin_dispatch(svc, True)
         with svc:
             report = svc(batch, n_leaves=32)
         assert marker.exists()
@@ -380,6 +388,7 @@ class TestPoolLifecycle:
         marker.touch()  # behave normally from the start
         monkeypatch.setenv("CST_PADR_CRASH_MARKER", str(marker))
         svc = SchedulerService(workers=2, pool_timeout=5.0)
+        pin_dispatch(svc, True)
         svc.submit(cs((0, 1)), n_leaves=4)
         svc.drain()
         svc._executor.abort()
