@@ -31,6 +31,15 @@ to the per-size ``"rows"``; existing trajectories written by other suites
 between the fast and columnar engines on mixed workloads, and the
 columnar path must clear a hardware-tolerant speedup floor.
 
+The full sweep also records ``"door_scaling"``: one fixed 24-pair set per
+tree size from 2^10 to 2^20 through every door — a direct schedule on a
+fresh caller-supplied network and without one, a batch-service cache
+hit and miss, the streaming service and the fabric — best of 3, with
+the host's ``cpu_count``.  ``--smoke`` gates one ratio from it at
+n = 2^16: a direct run on a fresh supplied network may cost at most
+``DOOR_GATE_RATIO``× the run without one, with the previous network
+released inside the timed call, as ``direct_unique`` releases it.
+
 With ``--baseline`` each measured size is compared against the checked-in
 baseline row; a wall-time regression worse than ``--tolerance`` (default
 2.0×) fails the run with exit code 1.  Counts (logical/physical messages)
@@ -41,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -71,6 +81,11 @@ BATCH_B = 16
 SMOKE_PARITY_N = 256
 SMOKE_PERF_NS = (256, 4096)
 SMOKE_MIN_SPEEDUP = 1.5
+
+#: door_scaling: tree sizes, and the smoke gate's size and ratio bound.
+DOOR_SIZES = [2**k for k in range(10, 21, 2)]
+DOOR_GATE_N = 2**16
+DOOR_GATE_RATIO = 2.0
 
 
 def registry_snapshot(cset, n: int) -> dict:
@@ -192,6 +207,94 @@ def measure_columnar(n: int, reps: int) -> dict:
             "throughput_speedup": round(solo_s / batch_s, 3),
         },
     }
+
+
+def _direct_rows(n: int, cset, reps: int) -> dict:
+    """A direct schedule without a network and on a fresh supplied one.
+
+    Each network is built before the timer.  The scheduler's
+    ``last_network`` holds the previous run's network until the next
+    call, so every timed run also releases one network, as a client
+    handing in a fresh network per request pays.
+    """
+    sched = PADRScheduler()
+    direct = _best_of(lambda: sched.schedule(cset, n_leaves=n), reps)
+
+    def fresh_network() -> float:
+        net = CSTNetwork.of_size(n)
+        t0 = time.perf_counter()
+        sched.schedule(cset, network=net)
+        return time.perf_counter() - t0
+
+    fresh_network()  # leaves a network behind for the first timed run
+    with_network = min(fresh_network() for _ in range(reps))
+    return {"direct_network_ms": with_network * 1e3, "direct_ms": direct * 1e3}
+
+
+def measure_doors(n: int, reps: int = 3) -> dict:
+    """One ``door_scaling`` row: every door on 24-pair sets at ``n`` leaves.
+
+    Service rows time one ``submit`` + ``drain`` (or one streamed
+    request); hits repeat a cached set, the other rows take a fresh set
+    per repetition.
+    """
+    from repro.fabric import FabricController
+    from repro.service import (
+        SchedulerService,
+        StreamRequest,
+        StreamingSchedulerService,
+        TenantQuota,
+    )
+
+    rng = np.random.default_rng([SEED, n])
+    cset = random_well_nested(PAIRS, n, rng)
+    fresh = iter([random_well_nested(PAIRS, n, rng) for _ in range(3 * reps + 2)])
+    row: dict = {"n": n, **_direct_rows(n, cset, reps)}
+
+    def drained(door, cs) -> float:
+        t0 = time.perf_counter()
+        door.submit(cs, n_leaves=n)
+        door.drain()
+        return time.perf_counter() - t0
+
+    with SchedulerService(workers=1, parity_check=False) as svc:
+        drained(svc, cset)
+        row["batch_hit_ms"] = min(drained(svc, cset) for _ in range(reps)) * 1e3
+        row["batch_miss_ms"] = min(drained(svc, next(fresh)) for _ in range(reps)) * 1e3
+
+    stream = StreamingSchedulerService(
+        default_quota=TenantQuota(rate=10_000.0, burst=10_000.0)
+    )
+
+    def streamed(cs) -> float:
+        t0 = time.perf_counter()
+        stream.run([StreamRequest(cset=cs, n_leaves=n, deadline=100_000)])
+        return time.perf_counter() - t0
+
+    streamed(next(fresh))
+    row["stream_ms"] = min(streamed(next(fresh)) for _ in range(reps)) * 1e3
+
+    with FabricController(2, n, parallel=False) as fabric:
+        door = SchedulerService(fabric=fabric)
+        drained(door, next(fresh))
+        row["fabric_ms"] = min(drained(door, next(fresh)) for _ in range(reps)) * 1e3
+    return {k: round(v, 4) if isinstance(v, float) else v for k, v in row.items()}
+
+
+def door_gate() -> int:
+    """The smoke gate on ``door_scaling``: at ``DOOR_GATE_N`` a fresh
+    supplied network costs at most ``DOOR_GATE_RATIO``× no network."""
+    n = DOOR_GATE_N
+    cset = random_well_nested(PAIRS, n, np.random.default_rng([SEED, n]))
+    times = _direct_rows(n, cset, 3)
+    ratio = times["direct_network_ms"] / times["direct_ms"]
+    ok = ratio <= DOOR_GATE_RATIO
+    print(
+        f"door:   n={n}  fresh network {times['direct_network_ms']:.2f} ms  "
+        f"no network {times['direct_ms']:.2f} ms  ratio {ratio:.2f}x "
+        f"(bound {DOOR_GATE_RATIO}x)  {'ok' if ok else 'TOO SLOW'}"
+    )
+    return 0 if ok else 1
 
 
 def columnar_smoke() -> int:
@@ -321,8 +424,9 @@ def main() -> int:
             f"logical {row['logical_messages']:>8}"
         )
 
+    gate = door_gate() if args.smoke else 0
     if args.baseline is not None:
-        return check_baseline(rows, args.baseline, args.tolerance)
+        return check_baseline(rows, args.baseline, args.tolerance) or gate
 
     # the columnar trajectory rides only on the full sweep; smoke runs
     # keep CI fast (the gate has its own --columnar-smoke entry point).
@@ -336,6 +440,18 @@ def main() -> int:
                 f"w/net {crow['single_with_network']['speedup']:5.2f}x  "
                 f"batched x{crow['batched']['batch_size']} "
                 f"{crow['batched']['throughput_speedup']:5.2f}x"
+            )
+
+    door_rows = []
+    if not args.smoke:
+        for n in DOOR_SIZES:
+            drow = measure_doors(n)
+            door_rows.append(drow)
+            print(
+                f"n={n:>8}  door ms: direct {drow['direct_ms']:.2f}  "
+                f"+network {drow['direct_network_ms']:.2f}  "
+                f"hit {drow['batch_hit_ms']:.2f}  miss {drow['batch_miss_ms']:.2f}  "
+                f"stream {drow['stream_ms']:.2f}  fabric {drow['fabric_ms']:.2f}"
             )
 
     # update in place: trajectories written by other suites (the service
@@ -368,10 +484,17 @@ def main() -> int:
             },
             "rows": columnar_rows,
         }
+    if door_rows:
+        payload["door_scaling"] = {
+            "workload": {"pairs": PAIRS, "seed": SEED, "generator": "random_well_nested"},
+            "cpu_count": os.cpu_count(),
+            "repeats": "best of 3",
+            "rows": door_rows,
+        }
     args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {len(rows)} rows to {args.output}")
-    return 0
+    return gate
 
 
 if __name__ == "__main__":

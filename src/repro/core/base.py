@@ -253,8 +253,10 @@ def execute_round_plan(
     and the required crossbar connections are staged and committed.
     Without ``network`` the replay runs on dict crossbar state
     (:func:`replay_on_crossbars`).  A caller-supplied ``network`` is driven
-    for real instead: staged, committed switch by switch, and its payloads
-    traced hop by hop, so faults, event logs and earlier state all act.
+    for real instead: staged, committed (only the staged switches, unless
+    the network's policy, faults or event log need a full sweep), and its
+    payloads traced hop by hop, so faults, event logs and earlier state all
+    act.
     Raises :class:`~repro.exceptions.SchedulingError` when the plan does
     not perform exactly the set, or a round is not realisable (two
     communications claiming the same switch port).
@@ -265,16 +267,20 @@ def execute_round_plan(
         )
     _check_plan(cset, n_leaves, plan, scheduler_name)
     network.assign_roles(cset.roles())
-    topo = network.topology
+    n = network.topology.n_leaves
 
     rounds: list[RoundRecord] = []
     for index, round_comms in enumerate(plan):
         staged: dict[int, list[Connection]] = {}
         for c in round_comms:
-            for switch_id, conn in topo.path_connections(c.src, c.dst).items():
-                staged.setdefault(switch_id, []).append(conn)
+            for switch_id, k in route(n, c.src, c.dst)[1]:
+                conn = LEGAL_CONNECTIONS[k]
+                if switch_id in staged:
+                    staged[switch_id].append(conn)
+                else:
+                    staged[switch_id] = [conn]
         try:
-            network.stage({k: tuple(v) for k, v in staged.items()})
+            network.stage(staged)
             network.commit_round(sorted(staged))
         except Exception as exc:  # port conflicts surface here
             raise SchedulingError(

@@ -49,6 +49,8 @@ wall-clock time differs.  The differential property tests in
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.comms.communication import Communication, CommunicationSet
@@ -56,7 +58,7 @@ from repro.comms.wellnested import require_well_nested
 from repro.core.control import UpWord
 from repro.core.phase1 import Phase1Counters
 from repro.core.schedule import RoundRecord, Schedule
-from repro.cst.crossbar import config_of, stage
+from repro.cst.crossbar import stage
 from repro.cst.power import PowerPolicy, PowerReport
 from repro.exceptions import ProtocolError, SchedulingError
 from repro.types import (
@@ -516,33 +518,44 @@ class ColumnarRun:
         """Install this run's final state on a (previously pristine) network.
 
         Keeps a caller-supplied network bit-identical to one the scalar
-        engine ran on: switch crossbars, per-switch change counts, meter
-        totals and ``rounds_run`` all match, so later scalar rounds on the
-        same network (e.g. stream steps that fall off the columnar guards)
-        continue from equivalent state.  Touches only the switches this
-        run staged.  Only valid for ``B == 1``.
+        engine ran on: crossbars, per-switch change and commit counts,
+        meter totals, PE transfer state and ``rounds_run`` all match, so
+        later scalar rounds on the same network (e.g. stream steps that
+        fall off the columnar guards) continue from equivalent state.  The
+        network keeps the same dicts over touched switches as the run, so
+        this is a merge of ``cfg`` / ``units`` / ``changes`` (meter
+        entries in ascending heap id, as a full sweep fills them) and one
+        install of commit counts and of what each round's writers sent and
+        receivers latched.  Only valid for ``B == 1``.
         """
         if self.B != 1:
             raise SchedulingError("write_back requires a single-element run")
         cfg, units, changes = self.cfg[0], self.units[0], self.changes[0]
         rounds = self.rounds_by_element[0]
-        commits: dict[int, int] = {}
-        for record in rounds:
-            for v in record.staged:
-                commits[v] = commits.get(v, 0) + 1
-        switches = network.switches
-        for v, committed in commits.items():
-            sw = switches[v]
-            code = cfg[v]
-            sw._config = config_of(code)
-            sw.config_changes = changes.get(v, 0)
-            sw.rounds_committed = committed
+        switches = network.switch_state
+        switches.cfg.update(cfg)
+        _merge(switches.changes, changes)
+        _merge(switches.commits, Counter(chain.from_iterable(r.staged for r in rounds)))
         meter = network.meter
-        for v in sorted(units):
-            meter._units[v] = meter._units.get(v, 0) + units[v]
-        for v in sorted(changes):
-            meter._changes[v] = meter._changes.get(v, 0) + changes[v]
+        _merge(meter._units, {v: units[v] for v in sorted(units)})
+        _merge(meter._changes, {v: changes[v] for v in sorted(changes)})
+        pes = network.pe_state
+        sent, latched, received = pes.sent, pes.latched, pes.received
+        for round_no, record in enumerate(rounds):
+            for comm in record.performed:
+                sent[comm.src] = round_no
+                latched.setdefault(comm.dst, round_no)
+                received.setdefault(comm.dst, []).append(pes.payload(comm.src))
         network.rounds_run += len(rounds)
+
+
+def _merge(into: dict[int, int], counts: Mapping[int, int]) -> None:
+    """Add ``counts`` into ``into``, new keys in ``counts``' order."""
+    if not into:
+        into.update(counts)
+        return
+    for v, c in counts.items():
+        into[v] = into.get(v, 0) + c
 
 
 # -- single-schedule path (behind PADRScheduler) ------------------------------
@@ -631,13 +644,6 @@ def run_columnar(
             physical_messages=st.physical,
             physical_words=st.physical * 3,
         )
-        if network is not None:
-            pes = network.pes
-            for comm in rounds[round_no].performed:
-                datum = pes[comm.src].write(round_no)
-                receiver = pes[comm.dst]
-                if receiver.role is Role.DESTINATION:
-                    receiver.latch(datum, round_no)
         if obs is not None:
             obs.round(
                 index=round_no,
@@ -654,12 +660,7 @@ def run_columnar(
 
     if scheduler.check_postconditions:
         run.check_counters_exhausted()
-        if network is not None:
-            if not network.all_done:
-                unsat = [pe.index for pe in network.pes if not pe.done]
-                raise ProtocolError(f"CSA finished but PEs {unsat} are unsatisfied")
-        else:
-            run.check_obligations(0)
+        run.check_obligations(0)
 
     if network is not None:
         run.write_back(network)

@@ -184,7 +184,8 @@ class PADRScheduler(Scheduler):
                     f"CSA finished with non-exhausted switch counters: {leftovers}"
                 )
             if not network.all_done:
-                pending = [pe.index for pe in network.pes if not pe.done]
+                done = network.pe_state.done
+                pending = sorted(i for i in network.roled_pes if not done(i))
                 raise ProtocolError(f"CSA finished but PEs {pending} are unsatisfied")
 
         schedule = Schedule(
@@ -365,17 +366,17 @@ class PADRScheduler(Scheduler):
                 raise ProtocolError(
                     f"leaf PE {pe_index} received non-zero rank in {word}"
                 )
-            pe = network.pes[pe_index]
+            role = network.role_of(pe_index)
             if word.kind is DownKind.SRC:
-                if pe.role is not Role.SOURCE:
+                if role is not Role.SOURCE:
                     raise ProtocolError(
-                        f"leaf PE {pe_index} asked to transmit but role is {pe.role.value}"
+                        f"leaf PE {pe_index} asked to transmit but role is {role.value}"
                     )
                 writers.append(pe_index)
             else:
-                if pe.role is not Role.DESTINATION:
+                if role is not Role.DESTINATION:
                     raise ProtocolError(
-                        f"leaf PE {pe_index} asked to receive but role is {pe.role.value}"
+                        f"leaf PE {pe_index} asked to receive but role is {role.value}"
                     )
                 receivers.append(pe_index)
 

@@ -118,8 +118,7 @@ class LeftPADRScheduler(Scheduler):
         states: dict[int, StoredState] = {}
 
         def leaf_word(pe: int) -> UpWord:
-            s, d = network.pes[pe].role_word()
-            return UpWord(s, d)
+            return UpWord(*network.role_of(pe).wire_encoding)
 
         def combine(switch_id: int, left: UpWord, right: UpWord) -> UpWord:
             # mirrored-left child == real right child: feed the ordinary
@@ -175,16 +174,16 @@ class LeftPADRScheduler(Scheduler):
                 continue
             if word.kind is DownKind.BOTH or word.x_s or word.x_d:
                 raise ProtocolError(f"leaf PE {pe_index} received invalid {word}")
-            pe = network.pes[pe_index]
+            role = network.role_of(pe_index)
             if word.kind is DownKind.SRC:
-                if pe.role is not Role.SOURCE:
+                if role is not Role.SOURCE:
                     raise ProtocolError(
-                        f"leaf PE {pe_index} asked to transmit, role {pe.role.value}"
+                        f"leaf PE {pe_index} asked to transmit, role {role.value}"
                     )
                 writers.append(pe_index)
-            elif pe.role is not Role.DESTINATION:
+            elif role is not Role.DESTINATION:
                 raise ProtocolError(
-                    f"leaf PE {pe_index} asked to receive, role {pe.role.value}"
+                    f"leaf PE {pe_index} asked to receive, role {role.value}"
                 )
 
         network.stage(staged)

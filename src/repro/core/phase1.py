@@ -46,7 +46,7 @@ def run_phase1(engine: CSTEngine) -> dict[int, StoredState]:
     network = engine.network
     if network.event_log is not None:
         return _run_phase1_logged(engine)
-    pes = network.pes
+    roles = network.pe_state.roles
     states: dict[int, StoredState] = {}
 
     # the ``[S, D]`` pairs travel as plain tuples on the hot path — the
@@ -56,7 +56,7 @@ def run_phase1(engine: CSTEngine) -> dict[int, StoredState]:
     # The logged variant above keeps recording real :class:`UpWord`\ s so
     # event traces render ``[S=…, D=…]`` as before.
     def leaf_word(pe: int) -> tuple[int, int]:
-        return pes[pe].role_word()
+        return roles.get(pe, Role.NEITHER).wire_encoding
 
     def combine(
         switch_id: int, left: tuple[int, int], right: tuple[int, int]
@@ -96,11 +96,11 @@ _ZERO_PAIR = (0, 0)
 def _run_phase1_logged(engine: CSTEngine) -> dict[int, StoredState]:
     """Phase 1 with an event log attached: words are real :class:`UpWord`\\ s
     so the recorded control events keep the seed's rendering and validation."""
-    pes = engine.network.pes
+    role_of = engine.network.role_of
     states: dict[int, StoredState] = {}
 
     def leaf_word(pe: int) -> UpWord:
-        return UpWord(*pes[pe].role_word())
+        return UpWord(*role_of(pe).wire_encoding)
 
     def combine(switch_id: int, left: UpWord, right: UpWord) -> UpWord:
         m = min(left.sources, right.destinations)
@@ -146,9 +146,8 @@ def run_phase1_vectorized(engine: CSTEngine) -> dict[int, StoredState]:
     n = engine.topology.n_leaves
     srcs = np.zeros(2 * n, dtype=np.int64)
     dsts = np.zeros(2 * n, dtype=np.int64)
-    pes = network.pes
-    for i in network.roled_pes:
-        s, d = pes[i].role_word()
+    for i, role in network.pe_state.roles.items():
+        s, d = role.wire_encoding
         srcs[n + i] = s
         dsts[n + i] = d
 

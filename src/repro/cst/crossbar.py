@@ -10,11 +10,14 @@ index in :data:`~repro.types.LEGAL_CONNECTIONS`.
 lazy, as in ``SwitchConfiguration.with_connection``: an input already
 driving the requested output loses it.  The connection is charged when
 its input did not already drive its output.  For the port-disjoint
-connections of one realisable round that is exactly
-``Switch.commit_round``'s ``new - old``.  The CSA kernel's staging table
+connections of one realisable round that is exactly the connections
+the new configuration holds and the old one did not.  The network's commits
+(:class:`~repro.cst.switch.SwitchStore`), the CSA kernel's staging table
 (:func:`stage`), the general planner's reconfiguration estimate and the
-plan replay (:class:`Crossbars`) all read this one table.  The property
-tests hold it equal to the object model (``Switch``, ``CSTNetwork``).
+plan replay (:class:`Crossbars`) all read this one table, and a
+:class:`~repro.cst.network.CSTNetwork` stores its crossbars as these
+codes.  The property tests hold every path equal to the object-per-switch
+oracle in ``tests/util/oracle_network.py``.
 
 Every structure here is a dict over the switches a run touched, so no
 step is sized by the tree.
@@ -22,16 +25,20 @@ step is sized by the tree.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.cst.power import PowerPolicy, PowerReport
-from repro.cst.switch import SwitchConfiguration
 from repro.types import LEGAL_CONNECTIONS, Connection, InPort, OutPort
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cst.switch import SwitchConfiguration
 
 __all__ = [
     "CONNECT",
+    "CONN_INDEX",
     "Crossbars",
     "Route",
+    "code_of",
     "config_of",
     "edge_str",
     "route",
@@ -49,9 +56,12 @@ _OUT_OF = (2, 1, 3, 3, 1, 2)
 #: connection pairs; the child's side bit selects within a pair.
 _UP, _DOWN = 2, 4
 
-_CONN_INDEX = {conn: k for k, conn in enumerate(LEGAL_CONNECTIONS)}
+#: connection -> its index in :data:`~repro.types.LEGAL_CONNECTIONS`.
+CONN_INDEX = {conn: k for k, conn in enumerate(LEGAL_CONNECTIONS)}
 _IN_PORTS = (InPort.L, InPort.R, InPort.P)
 _OUT_PORTS = (None, OutPort.L, OutPort.R, OutPort.P)
+_IN_DIGIT = {port: i for i, port in enumerate(_IN_PORTS)}
+_OUT_CODE = {port: out for out, port in enumerate(_OUT_PORTS) if port is not None}
 
 
 def _row(code: int) -> list[int]:
@@ -83,7 +93,7 @@ def stage(code: int, conns: Iterable[Connection]) -> int:
     """Apply ``conns`` in order to crossbar ``code``: ``new_code << 2 | charged``."""
     charged = 0
     for conn in conns:
-        step = CONNECT[code << 3 | _CONN_INDEX[conn]]
+        step = CONNECT[code << 3 | CONN_INDEX[conn]]
         code = step >> 1
         charged += step & 1
     return code << 2 | charged
@@ -94,10 +104,12 @@ def stage(code: int, conns: Iterable[Connection]) -> int:
 _CONFIGS: dict[int, SwitchConfiguration] = {}
 
 
-def config_of(code: int) -> SwitchConfiguration:
+def config_of(code: int) -> "SwitchConfiguration":
     """The :class:`~repro.cst.switch.SwitchConfiguration` a code stands for."""
     conf = _CONFIGS.get(code)
     if conf is None:
+        from repro.cst.switch import SwitchConfiguration
+
         conns = [
             Connection(_IN_PORTS[i], _OUT_PORTS[out])
             for i, out in enumerate(_row(code))
@@ -105,6 +117,14 @@ def config_of(code: int) -> SwitchConfiguration:
         ]
         conf = _CONFIGS.setdefault(code, SwitchConfiguration(conns))
     return conf
+
+
+def code_of(conf: Iterable[Connection]) -> int:
+    """The code of a configuration (or of port-disjoint connections)."""
+    code = 0
+    for conn in conf:
+        code |= _OUT_CODE[conn.out_port] << 2 * _IN_DIGIT[conn.in_port]
+    return code
 
 
 def route(n_leaves: int, src: int, dst: int) -> Route:
@@ -133,8 +153,8 @@ def edge_str(edge: int) -> str:
 class Crossbars:
     """Crossbar codes, power units and change counts of the touched switches.
 
-    :meth:`commit` charges a round as ``Switch.commit_round`` does on every
-    switch of a :class:`~repro.cst.network.CSTNetwork`:
+    :meth:`commit` charges a round as a full-sweep ``commit_round`` of a
+    :class:`~repro.cst.network.CSTNetwork` does:
 
     * a connection costs ``unit_cost * wire_weight_base ** (height - level)``;
     * lazy (paper): staged connections displace, the rest persist for free,

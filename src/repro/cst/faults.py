@@ -18,10 +18,14 @@ Fault models
                         nastiest case for detection).
 
 Faults attach to a :class:`~repro.cst.network.CSTNetwork` via
-:func:`inject`; they wrap the target switch's round protocol.  Scheduling
-proceeds normally (the distributed algorithm cannot see the fault), and the
-damage surfaces as dropped or misdelivered payloads, which
-:mod:`repro.analysis.verifier` flags.
+:func:`inject`: the network stores the fault as an override of the target
+switch (``network.switch_state.faults``), and every commit of that switch
+passes the configuration the controller intended through
+:meth:`SwitchFault.corrupt`.  Scheduling proceeds normally (the
+distributed algorithm cannot see the fault), and the damage surfaces as
+dropped or misdelivered payloads, which :mod:`repro.analysis.verifier`
+flags.  Injecting or clearing a fault changes no crossbar, counter or
+staged request: the fault strikes the hardware, not the control plane.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import abc
 from dataclasses import dataclass
 
 from repro.cst.network import CSTNetwork
-from repro.cst.switch import Switch, SwitchConfiguration
+from repro.cst.switch import SwitchConfiguration
 from repro.exceptions import PortConflictError, ReproError
 from repro.types import Connection, InPort, OutPort
 
@@ -117,60 +121,19 @@ class MisrouteFault(SwitchFault):
             return SwitchConfiguration(swapped[:1])
 
 
-class _FaultySwitch(Switch):
-    """A switch whose committed configuration passes through a fault."""
-
-    __slots__ = ("fault",)
-
-    def __init__(self, inner: Switch, fault: SwitchFault) -> None:
-        # adopt the inner switch's identity and meter
-        super().__init__(inner.heap_id, inner._meter)
-        self._config = inner.configuration
-        # requests already staged in the current uncommitted round survive
-        # the wrap: the fault strikes the hardware, not the control plane.
-        self._staged = list(inner._staged)
-        self.config_changes = inner.config_changes
-        self.rounds_committed = inner.rounds_committed
-        self.fault = fault
-
-    def commit_round(self) -> SwitchConfiguration:
-        previous = self.configuration
-        intended = super().commit_round()
-        actual = self.fault.corrupt(intended, previous)
-        # the controller *believes* it holds `intended`; the hardware holds
-        # `actual`.  Tracing must see the hardware's truth.
-        self._config = actual
-        return actual
-
-
 def inject(network: CSTNetwork, switch_id: int, fault: SwitchFault) -> None:
-    """Replace ``switch_id``'s switch with a faulty wrapper.
+    """Make ``switch_id`` faulty from its next commit on.
 
     Idempotent per switch: injecting a second fault replaces the first.
     """
     if switch_id not in network.switches:
         raise FaultError(f"no switch {switch_id} in this network")
-    current = network.switches[switch_id]
-    network.fault_injected = True
-    if isinstance(current, _FaultySwitch):
-        current.fault = fault
-        return
-    network.switches[switch_id] = _FaultySwitch(current, fault)
+    network.switch_state.faults[int(switch_id)] = fault
 
 
 def clear_faults(network: CSTNetwork) -> int:
     """Restore every faulty switch to healthy behaviour; returns count."""
-    n = 0
-    for heap_id, sw in list(network.switches.items()):
-        if isinstance(sw, _FaultySwitch):
-            healthy = Switch(heap_id, network.meter)
-            healthy._config = sw.configuration
-            # carry the current round's uncommitted staged requests too —
-            # repair happens between commits, not between stage and commit.
-            healthy._staged = list(sw._staged)
-            healthy.config_changes = sw.config_changes
-            healthy.rounds_committed = sw.rounds_committed
-            network.switches[heap_id] = healthy
-            n += 1
-    network.fault_injected = False
+    faults = network.switch_state.faults
+    n = len(faults)
+    faults.clear()
     return n

@@ -90,6 +90,11 @@ class SerializationError(ReproError):
     """Malformed or unsupported serialized payload."""
 
 
+#: what reading a payload of the wrong shape raises before it is checked:
+#: a loader turns each into :class:`SerializationError`.
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # communication sets
 # ---------------------------------------------------------------------------
@@ -108,7 +113,7 @@ def cset_from_dict(data: Mapping[str, Any]) -> CommunicationSet:
     _expect(data, _CSET_FORMAT)
     try:
         comms = [Communication(int(s), int(d)) for s, d in data["comms"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SerializationError(f"malformed communication list: {exc}") from exc
     return CommunicationSet(comms)
 
@@ -138,6 +143,7 @@ def config_from_dict(data: Mapping[str, Any]) -> Any:
     """Inverse of :func:`config_to_dict`; also accepts a bare field dict."""
     from repro.core.config import SchedulerConfig
 
+    _require_mapping(data, _CONFIG_FORMAT)
     if "format" in data:
         _expect(data, _CONFIG_FORMAT)
         try:
@@ -150,7 +156,7 @@ def config_from_dict(data: Mapping[str, Any]) -> Any:
         return SchedulerConfig.from_dict(fields)
     except ReproError:
         raise
-    except (TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SerializationError(f"malformed scheduler config: {exc}") from exc
 
 
@@ -234,7 +240,7 @@ def schedule_from_dict(data: Mapping[str, Any]) -> Schedule:
                 else None
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SerializationError(f"malformed schedule payload: {exc}") from exc
 
 
@@ -296,7 +302,7 @@ def general_schedule_from_dict(data: Mapping[str, Any]) -> Any:
             optimum_rounds=int(data["optimum_rounds"]),
             combined=schedule_from_dict(data["combined"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SerializationError(f"malformed general schedule: {exc}") from exc
 
 
@@ -315,6 +321,7 @@ def result_to_dict(result: Any) -> dict[str, Any]:
 
 def result_from_dict(data: Mapping[str, Any]) -> Any:
     """Inverse of :func:`result_to_dict`, dispatching on ``"format"``."""
+    _require_mapping(data, "result")
     fmt = data.get("format")
     if fmt == _SCHEDULE_FORMAT:
         return schedule_from_dict(data)
@@ -364,7 +371,7 @@ def stream_request_from_dict(data: Mapping[str, Any]) -> Any:
             priority=Priority[str(data.get("priority", "NORMAL")).upper()],
             tenant=str(data.get("tenant", "default")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SerializationError(f"malformed stream request: {exc}") from exc
 
 
@@ -398,7 +405,12 @@ def load_arrivals(path: str | Path) -> list[Any]:
     except (OSError, json.JSONDecodeError) as exc:
         raise SerializationError(f"cannot read arrival trace {path}: {exc}") from exc
     _expect(data, _ARRIVAL_TRACE_FORMAT)
-    return [stream_request_from_dict(r) for r in data.get("arrivals", [])]
+    arrivals = data.get("arrivals", [])
+    if not isinstance(arrivals, list):
+        raise SerializationError(
+            f"arrival trace {path}: 'arrivals' must be a list, got {type(arrivals).__name__}"
+        )
+    return [stream_request_from_dict(r) for r in arrivals]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +468,7 @@ def fabric_plan_from_dict(data: Mapping[str, Any]) -> Any:
             shard_capacity=int(data["shard_capacity"]),
             profile=profile,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SerializationError(f"malformed fabric plan: {exc}") from exc
 
 
@@ -514,7 +526,7 @@ def fabric_schedule_from_dict(data: Mapping[str, Any]) -> Any:
                 for h in data.get("cross", ())
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SerializationError(f"malformed fabric schedule: {exc}") from exc
 
 
@@ -540,12 +552,18 @@ def load_workloads(path: str | Path) -> dict[str, CommunicationSet]:
     except (OSError, json.JSONDecodeError) as exc:
         raise SerializationError(f"cannot read workload suite {path}: {exc}") from exc
     _expect(data, _SUITE_FORMAT)
-    return {
-        name: cset_from_dict(cs) for name, cs in data.get("workloads", {}).items()
-    }
+    suite = data.get("workloads", {})
+    _require_mapping(suite, f"{_SUITE_FORMAT} 'workloads'")
+    return {name: cset_from_dict(cs) for name, cs in suite.items()}
+
+
+def _require_mapping(data: Any, what: str) -> None:
+    if not isinstance(data, Mapping):
+        raise SerializationError(f"expected a {what} object, got {type(data).__name__}")
 
 
 def _expect(data: Mapping[str, Any], fmt: str) -> None:
+    _require_mapping(data, fmt)
     got = data.get("format")
     if got != fmt:
         raise SerializationError(f"expected format {fmt!r}, got {got!r}")
