@@ -31,13 +31,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from bench_results import RESULTS, record
 from repro.core.config import SchedulerConfig
 from repro.io import load_arrivals, save_arrivals
 from repro.slo import (
@@ -47,8 +47,6 @@ from repro.slo import (
     record_workload,
     replay,
 )
-
-RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_scaling.json"
 
 CANARY_LEAVES = 256
 CANARY_ARRIVALS = 120
@@ -180,8 +178,7 @@ def run_canary(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - t0
 
     # 5. archive the evidence (p50/p99 trajectories, alerts, drills, gates).
-    payload = json.loads(RESULTS.read_text()) if RESULTS.exists() else {}
-    payload["slo"] = {
+    slo = {
         "n": CANARY_LEAVES,
         "arrivals": count,
         "deadline_ticks": CANARY_DEADLINE,
@@ -198,7 +195,7 @@ def run_canary(args: argparse.Namespace) -> int:
         "gates": {engine: g.to_dict() for engine, g in gates.items()},
         "regression_gate": reg_decision.to_dict(),
     }
-    RESULTS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    record({"slo": slo})
     print(f"wrote slo trajectory to {RESULTS} ({elapsed:.2f}s wall)")
 
     for f in failures:

@@ -31,21 +31,18 @@ fast: best of 5, alternating, networks built outside the timer.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
+from bench_results import RESULTS, record
 from repro.comms.decompose import decompose, max_crossing_degree
 from repro.comms.generators import random_arbitrary, random_well_nested
 from repro.core.base import execute_round_plan
 from repro.core.config import SchedulerConfig
 from repro.cst.network import CSTNetwork
 from repro.io import result_to_dict
-
-RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_scaling.json"
 
 N_LEAVES = 256
 FULL_PAIRS = (8, 16, 32, 48)
@@ -182,14 +179,13 @@ def network_checks(csets: list) -> list[str]:
     return failures
 
 
-def record(rows: list[dict], *, mode: str) -> None:
-    payload = json.loads(RESULTS.read_text()) if RESULTS.exists() else {}
-    payload["decompose"] = {
+def record_rows(rows: list[dict], *, mode: str) -> None:
+    decompose_block = {
         "mode": mode,
         "n_leaves": N_LEAVES,
         "rows": [{k: v for k, v in row.items() if k != "failures"} for row in rows],
     }
-    RESULTS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    record({"decompose": decompose_block})
     print(f"wrote decompose {mode} rows to {RESULTS}")
 
 
@@ -198,7 +194,7 @@ def run_smoke() -> int:
     failures = [f for row in rows for f in row["failures"]]
     failures += well_nested_control()
     failures += network_checks([arbitrary_set(p, seed) for p, seed in SMOKE_RUNS])
-    record(rows, mode="smoke")
+    record_rows(rows, mode="smoke")
     for f in failures:
         print(f"FAIL: {f}")
     if not failures:
@@ -219,7 +215,7 @@ def run_full(alphas: tuple[float, ...] = (0.0, 2.0)) -> int:
         for seed in FULL_SEEDS
     ]
     failures = [f for row in rows for f in row["failures"]]
-    record(rows, mode="full")
+    record_rows(rows, mode="full")
     for f in failures:
         print(f"FAIL: {f}")
     return 1 if failures else 0

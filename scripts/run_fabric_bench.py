@@ -28,14 +28,13 @@ the cpu count so readers can judge the number.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
+from bench_results import RESULTS, record
 from repro.comms.generators import random_well_nested
 from repro.fabric import FabricController
 from repro.service import (
@@ -44,8 +43,6 @@ from repro.service import (
     TenantQuota,
     mixed_workloads,
 )
-
-RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_scaling.json"
 
 LEAF_WIDTH = 256
 FULL_TREES = [1, 2, 4, 8]
@@ -140,8 +137,7 @@ def run_full(args: argparse.Namespace) -> int:
             f"cross-shard ratio {row['cross_shard_ratio']}"
         )
 
-    payload = json.loads(RESULTS.read_text()) if RESULTS.exists() else {}
-    payload["fabric"] = {
+    fabric = {
         "requests_per_run": args.count,
         "leaf_width": LEAF_WIDTH,
         "tenants": [t for t, _ in TENANT_WEIGHTS],
@@ -149,7 +145,7 @@ def run_full(args: argparse.Namespace) -> int:
         "cpu_count": os.cpu_count(),
         "rows": rows,
     }
-    RESULTS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    record({"fabric": fabric})
     print(f"wrote fabric trajectory to {RESULTS}")
     return 0
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the PADR scheduler end-to-end across tree sizes.
 
-Writes ``results/BENCH_scaling.json`` — one row per tree size with the
+Records into ``results/BENCH_scaling.json`` — one row per tree size with the
 wall-clock time of a full ``PADRScheduler.schedule`` call (Phase 1 +
 Phase-2 rounds + commits + transfers) on a sparse random well-nested set,
 plus the logical (paper-model) and physical (simulator-walked) control
@@ -22,11 +22,18 @@ Usage::
         --baseline results/BENCH_scaling.json                  # regression gate
     PYTHONPATH=src python scripts/run_perf_suite.py \
         --columnar-smoke                                       # columnar CI gate
+    PYTHONPATH=src python scripts/run_perf_suite.py --doors    # door_scaling only
+
+The full sweep replaces the ``"rows"``, ``"columnar"`` and
+``"door_scaling"`` blocks and ``--doors`` only ``"door_scaling"``, through
+the one merging writer (``scripts/bench_results.py``), so every other
+suite's block survives.  ``--smoke`` never writes: its rows are a subset
+measured with fewer repetitions, and the baseline it gates against is the
+full sweep's.
 
 The full sweep also records a ``"columnar"`` trajectory — fast vs
 columnar single-schedule times plus same-shape batched throughput — next
-to the per-size ``"rows"``; existing trajectories written by other suites
-(e.g. the service layer's ``"service"`` key) are preserved in place.
+to the per-size ``"rows"``.
 ``--columnar-smoke`` is the CI gate: schedules must be bit-identical
 between the fast and columnar engines on mixed workloads, and the
 columnar path must clear a hardware-tolerant speedup floor.
@@ -56,6 +63,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+from bench_results import RESULTS, record
 
 from repro.comms.generators import random_well_nested
 from repro.comms.width import width
@@ -281,6 +290,26 @@ def measure_doors(n: int, reps: int = 3) -> dict:
     return {k: round(v, 4) if isinstance(v, float) else v for k, v in row.items()}
 
 
+def measure_door_block() -> dict:
+    """The ``door_scaling`` block: :func:`measure_doors` at every size."""
+    rows = []
+    for n in DOOR_SIZES:
+        row = measure_doors(n)
+        rows.append(row)
+        print(
+            f"n={n:>8}  door ms: direct {row['direct_ms']:.2f}  "
+            f"+network {row['direct_network_ms']:.2f}  "
+            f"hit {row['batch_hit_ms']:.2f}  miss {row['batch_miss_ms']:.2f}  "
+            f"stream {row['stream_ms']:.2f}  fabric {row['fabric_ms']:.2f}"
+        )
+    return {
+        "workload": {"pairs": PAIRS, "seed": SEED, "generator": "random_well_nested"},
+        "cpu_count": os.cpu_count(),
+        "repeats": "best of 3",
+        "rows": rows,
+    }
+
+
 def door_gate() -> int:
     """The smoke gate on ``door_scaling``: at ``DOOR_GATE_N`` a fresh
     supplied network costs at most ``DOOR_GATE_RATIO``× no network."""
@@ -385,7 +414,7 @@ def main() -> int:
         "--baseline",
         type=Path,
         default=None,
-        help="compare against this BENCH_scaling.json instead of writing one",
+        help="compare against this BENCH_scaling.json (writes nothing)",
     )
     parser.add_argument(
         "--tolerance",
@@ -396,8 +425,9 @@ def main() -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=Path("results/BENCH_scaling.json"),
-        help="where to write the measurement rows (ignored with --baseline)",
+        default=RESULTS,
+        help="the results file to merge the sweep's blocks into "
+        "(ignored with --smoke or --baseline)",
     )
     parser.add_argument(
         "--columnar-smoke",
@@ -406,10 +436,21 @@ def main() -> int:
         f"n={SMOKE_PARITY_N} and >= {SMOKE_MIN_SPEEDUP}x vs the fast path "
         f"at n={' and '.join(map(str, SMOKE_PERF_NS))}; exit 1 on failure",
     )
+    parser.add_argument(
+        "--doors",
+        action="store_true",
+        help="measure only the door_scaling block (2^10..2^20 through every "
+        "door) and record it",
+    )
     args = parser.parse_args()
 
     if args.columnar_smoke:
         return columnar_smoke()
+    if args.doors:
+        door_block = measure_door_block()
+        record({"door_scaling": door_block}, args.output)
+        print(f"wrote door_scaling to {args.output}")
+        return 0
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     reps = 3 if args.smoke else 5
@@ -427,74 +468,39 @@ def main() -> int:
     gate = door_gate() if args.smoke else 0
     if args.baseline is not None:
         return check_baseline(rows, args.baseline, args.tolerance) or gate
+    if args.smoke:
+        return gate  # a subset at fewer repetitions: the file keeps the full sweep
 
     # the columnar trajectory rides only on the full sweep; smoke runs
     # keep CI fast (the gate has its own --columnar-smoke entry point).
     columnar_rows = []
-    if not args.smoke:
-        for n in sizes:
-            crow = measure_columnar(n, reps)
-            columnar_rows.append(crow)
-            print(
-                f"n={n:>6}  columnar single {crow['single']['speedup']:5.2f}x  "
-                f"w/net {crow['single_with_network']['speedup']:5.2f}x  "
-                f"batched x{crow['batched']['batch_size']} "
-                f"{crow['batched']['throughput_speedup']:5.2f}x"
-            )
+    for n in sizes:
+        crow = measure_columnar(n, reps)
+        columnar_rows.append(crow)
+        print(
+            f"n={n:>6}  columnar single {crow['single']['speedup']:5.2f}x  "
+            f"w/net {crow['single_with_network']['speedup']:5.2f}x  "
+            f"batched x{crow['batched']['batch_size']} "
+            f"{crow['batched']['throughput_speedup']:5.2f}x"
+        )
 
-    door_rows = []
-    if not args.smoke:
-        for n in DOOR_SIZES:
-            drow = measure_doors(n)
-            door_rows.append(drow)
-            print(
-                f"n={n:>8}  door ms: direct {drow['direct_ms']:.2f}  "
-                f"+network {drow['direct_network_ms']:.2f}  "
-                f"hit {drow['batch_hit_ms']:.2f}  miss {drow['batch_miss_ms']:.2f}  "
-                f"stream {drow['stream_ms']:.2f}  fabric {drow['fabric_ms']:.2f}"
-            )
-
-    # update in place: trajectories written by other suites (the service
-    # layer's "service" key) must survive a perf re-run.
-    payload = {}
-    if args.output.exists():
-        try:
-            payload = json.loads(args.output.read_text())
-        except (OSError, json.JSONDecodeError):
-            payload = {}
-    payload.update(
+    workload_block = {"pairs": PAIRS, "seed": SEED, "generator": "random_well_nested"}
+    record(
         {
             "format": "cst-padr/perf-scaling",
             "version": 2,
-            "workload": {
-                "pairs": PAIRS,
-                "seed": SEED,
-                "generator": "random_well_nested",
-            },
+            "workload": workload_block,
             "rows": rows,
-        }
-    )
-    if columnar_rows:
-        payload["columnar"] = {
-            "workload": {
-                "pairs": PAIRS,
-                "seed": SEED,
-                "generator": "random_well_nested",
-                "batch_size": BATCH_B,
+            "columnar": {
+                "workload": {**workload_block, "batch_size": BATCH_B},
+                "rows": columnar_rows,
             },
-            "rows": columnar_rows,
-        }
-    if door_rows:
-        payload["door_scaling"] = {
-            "workload": {"pairs": PAIRS, "seed": SEED, "generator": "random_well_nested"},
-            "cpu_count": os.cpu_count(),
-            "repeats": "best of 3",
-            "rows": door_rows,
-        }
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
+            "door_scaling": measure_door_block(),
+        },
+        args.output,
+    )
     print(f"wrote {len(rows)} rows to {args.output}")
-    return gate
+    return 0
 
 
 if __name__ == "__main__":

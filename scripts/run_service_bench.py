@@ -63,10 +63,10 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
+from bench_results import RESULTS, record
 from repro.comms.dyck import random_dyck_word
 from repro.comms.generators import from_dyck_word, random_arbitrary, random_well_nested
 from repro.core.config import SchedulerConfig
@@ -76,8 +76,6 @@ from repro.io import result_to_dict, schedule_to_dict
 from repro.obs import Instrumentation, MetricsRegistry
 from repro.service import SchedulerService, mixed_workloads
 from repro.service.pipeline import pin_dispatch, usable_cpus
-
-RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_scaling.json"
 
 FULL_SIZES = [256, 1024]
 SMOKE_COUNT = 64
@@ -337,15 +335,14 @@ def run_full(args: argparse.Namespace) -> int:
             f"waves {row['dispatched_waves']}"
         )
 
-    payload = json.loads(RESULTS.read_text()) if RESULTS.exists() else {}
-    payload["service"] = {
+    service = {
         "requests_per_batch": args.count,
         "cpu_count": os.cpu_count(),
         "usable_cpus": usable_cpus(),
         "rows": rows,
         "dispatch": dispatch,
     }
-    RESULTS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    record({"service": service})
     print(f"wrote service trajectory to {RESULTS}")
 
     failures = []
@@ -548,8 +545,7 @@ def run_stream_smoke(args: argparse.Namespace) -> int:
     )
     print(f"  shed by priority: {report.by_priority(StreamStatus.SHED) or '{}'}")
 
-    payload = json.loads(RESULTS.read_text()) if RESULTS.exists() else {}
-    payload["streaming"] = {
+    streaming = {
         "n": STREAM_LEAVES,
         "arrivals": STREAM_ARRIVALS,
         "max_inflight": 4,
@@ -566,7 +562,7 @@ def run_stream_smoke(args: argparse.Namespace) -> int:
         "cached": report.n_cached,
         "trajectory": [[tick, state] for tick, state in trajectory],
     }
-    RESULTS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    record({"streaming": streaming})
     print(f"wrote streaming trajectory to {RESULTS}")
 
     for f in failures:

@@ -31,7 +31,14 @@ from repro.exceptions import InvalidNodeError, TopologyError
 from repro.types import Connection, Direction, InPort, OutPort, Side
 from repro.util.bitmath import common_prefix_node, ilog2, is_power_of_two, level_of
 
-__all__ = ["DirectedEdge", "CSTTopology"]
+__all__ = ["DirectedEdge", "CSTTopology", "check_n_leaves"]
+
+
+def check_n_leaves(n_leaves: int) -> None:
+    """Raise :class:`TopologyError` unless ``n_leaves`` is a CST width: a
+    power of two ``>= 2``."""
+    if n_leaves < 2 or not is_power_of_two(n_leaves):
+        raise TopologyError(f"n_leaves must be a power of two >= 2, got {n_leaves}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,8 +74,7 @@ class CSTTopology:
     def __init__(self, n_leaves: int) -> None:
         if not isinstance(n_leaves, int) or isinstance(n_leaves, bool):
             raise TypeError(f"n_leaves must be int, got {type(n_leaves).__name__}")
-        if n_leaves < 2 or not is_power_of_two(n_leaves):
-            raise TopologyError(f"n_leaves must be a power of two >= 2, got {n_leaves}")
+        check_n_leaves(n_leaves)
         self._n = n_leaves
         self._height = ilog2(n_leaves)
 

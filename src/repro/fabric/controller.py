@@ -5,12 +5,12 @@ The controller owns ``tree_count`` shards, each a full CST of
 three jobs:
 
 * **route** — deterministic request placement.  The shard key is the
-  PR-4 relabelling-invariant canonical signature
-  (:func:`repro.service.cache.canonical_signature`): hashing
-  ``(placed profile, config signature)`` with CRC-32 means repeats of
-  the same placed workload land on the same tree *and* produce the same
-  cache key, so the shared :class:`~repro.service.cache.ScheduleCache`
-  keeps working across the whole fabric.  Streaming tenants route by
+  canonical signature (:func:`repro.service.cache.canonical_signature`):
+  hashing ``(n_leaves, pairing, config signature)`` with CRC-32 means
+  repeats of the same placed workload land on the same tree *and*
+  produce the same cache key, so the shared
+  :class:`~repro.service.cache.ScheduleCache` keeps working across the
+  whole fabric.  Streaming tenants route by
   tenant id instead (:meth:`route_tenant`) — one tenant's stream stays
   on one tree.  CRC-32, not :func:`hash`: the builtin is salted per
   process and would route the same key differently in every worker.
@@ -169,8 +169,13 @@ class FabricController:
         return digest % self.tree_count
 
     def route(self, key: CanonicalKey) -> int:
-        """The shard a canonical signature lives on (deterministic)."""
-        return self._bucket(f"sig:{key.n_leaves}:{key.placed}:{key.config}")
+        """The shard a canonical signature lives on (deterministic).
+
+        The token is O(pairs): a well-nested key's flat endpoint tuple, a
+        general key's rendered pairing (``"G:src>dst,..."``).
+        """
+        pairing = key.placed if key.general else key.pairs
+        return self._bucket(f"sig:{key.n_leaves}:{pairing}:{key.config}")
 
     def route_tenant(self, tenant: str) -> int:
         """The shard a streaming tenant's traffic pins to."""

@@ -41,7 +41,7 @@ Metric name map (logical plane unless noted):
 ``service.retries``            transient worker failures retried with backoff
 ``service.cache.hits``         schedule-cache lookups served from memory
 ``service.cache.misses``       schedule-cache lookups that missed
-``service.cache.evictions``    LRU entries evicted at capacity
+``service.cache.evictions``    payloads S3-FIFO dropped at capacity
 ``service.cache.size``         live cache entries (gauge)
 ``stream.chaos_drills``        drill victims requeued for healthy reroute
 ``slo.good`` / ``slo.bad``     per-objective good/bad events

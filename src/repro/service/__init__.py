@@ -4,9 +4,10 @@ The paper's algorithm schedules one well-nested set; the ROADMAP's
 north-star serves heavy traffic of many such sets.  This package closes
 that gap with three orthogonal pieces:
 
-* :mod:`repro.service.cache` — a canonical-signature LRU cache, so a
-  workload that repeats (the common case for phase-structured algorithms
-  on the SRGA) pays for scheduling once;
+* :mod:`repro.service.cache` — an S3-FIFO schedule cache keyed in
+  O(pairs) on the exact pairing, so a workload that repeats (the common
+  case for phase-structured algorithms on the SRGA) pays for scheduling
+  once;
 * :mod:`repro.service.worker` — the worker side of every process
   boundary: an initializer that rebuilds a
   :class:`~repro.core.config.SchedulerConfig`, and request functions whose

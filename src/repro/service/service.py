@@ -165,7 +165,8 @@ class SchedulerService(RequestPipeline):
         ``> 1`` lazily forks a pool of that many workers, initialised
         from ``config``.
     cache_size / max_queue:
-        LRU capacity and the admission-control bound.
+        S3-FIFO schedule-cache capacity (payloads held) and the
+        admission-control bound.
     default_deadline:
         per-request deadline in logical ticks (overridable per submit).
     max_retries:
@@ -251,9 +252,10 @@ class SchedulerService(RequestPipeline):
         self._inc("service.submitted")
         if len(self._queue) >= self.max_queue:
             return self._reject(ticket_id, f"queue full ({self.max_queue})")
-        # canonicalisation doubles as admission validation: oversized sets
-        # — and, unless config.decompose="auto" admits them for well-nested
-        # decomposition, wrongly-oriented ones — are turned away here, not
+        # canonicalisation doubles as admission validation: oversized sets,
+        # tree widths that are not a power of two and, unless
+        # config.decompose="auto" admits them for well-nested
+        # decomposition, wrongly-oriented ones are turned away here, not
         # in a worker.
         try:
             key = canonical_signature(cset, n_leaves, config=self.config)

@@ -123,6 +123,17 @@ class TestAdmission:
         report = svc.drain()
         assert report.results[ticket.id].status is RequestStatus.REJECTED
 
+    def test_width_not_a_power_of_two_rejected_at_the_door(self):
+        # a tree of 300 leaves cannot be built: the door refuses it with
+        # the topology's error instead of a worker failing the request
+        svc = SchedulerService(workers=1)
+        ticket = svc.submit(cs((0, 3), (1, 2)), n_leaves=300)
+        assert not ticket.accepted
+        assert ticket.reason == "n_leaves must be a power of two >= 2, got 300"
+        report = svc.drain()
+        assert report.results[ticket.id].status is RequestStatus.REJECTED
+        assert len(svc.cache) == 0 and svc.cache.misses == 0
+
     def test_constructor_validation(self):
         with pytest.raises(SchedulingError):
             SchedulerService(max_queue=0)

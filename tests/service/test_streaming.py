@@ -255,6 +255,14 @@ class TestDoors:
         assert result.status is StreamStatus.REJECTED
         assert result.error
 
+    def test_width_not_a_power_of_two_is_rejected(self):
+        svc = StreamingSchedulerService()
+        ticket = svc.submit(StreamRequest(cset=cs((0, 3), (1, 2)), n_leaves=300))
+        assert not ticket.accepted
+        assert ticket.reason == "n_leaves must be a power of two >= 2, got 300"
+        assert svc.results[ticket.id].status is StreamStatus.REJECTED
+        assert svc.backlog == 0
+
     def test_nonpositive_deadline_is_rejected(self):
         svc = StreamingSchedulerService()
         ticket = svc.submit(StreamRequest(cset=cs((0, 1)), n_leaves=8, deadline=0))
