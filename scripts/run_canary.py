@@ -37,7 +37,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_results import RESULTS, record
+import bench_results
 from repro.core.config import SchedulerConfig
 from repro.io import load_arrivals, save_arrivals
 from repro.slo import (
@@ -195,8 +195,8 @@ def run_canary(args: argparse.Namespace) -> int:
         "gates": {engine: g.to_dict() for engine, g in gates.items()},
         "regression_gate": reg_decision.to_dict(),
     }
-    record({"slo": slo})
-    print(f"wrote slo trajectory to {RESULTS} ({elapsed:.2f}s wall)")
+    bench_results.record({"slo": slo})
+    print(f"wrote slo trajectory to {bench_results.RESULTS} ({elapsed:.2f}s wall)")
 
     for f in failures:
         print(f"FAIL: {f}")
