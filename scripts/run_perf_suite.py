@@ -22,12 +22,10 @@ Usage::
         --baseline results/BENCH_scaling.json                  # regression gate
     PYTHONPATH=src python scripts/run_perf_suite.py \
         --columnar-smoke                                       # columnar CI gate
-    PYTHONPATH=src python scripts/run_perf_suite.py --doors    # door_scaling only
 
 The full sweep replaces the ``"rows"``, ``"columnar"`` and
-``"door_scaling"`` blocks and ``--doors`` only ``"door_scaling"``, through
-the one merging writer (``scripts/bench_results.py``), so every other
-suite's block survives.  ``--smoke`` never writes: its rows are a subset
+``"door_scaling"`` blocks through the one merging writer
+(``scripts/bench_results.py``), so every other suite's block survives.  ``--smoke`` never writes: its rows are a subset
 measured with fewer repetitions, and the baseline it gates against is the
 full sweep's.
 
@@ -436,21 +434,10 @@ def main() -> int:
         f"n={SMOKE_PARITY_N} and >= {SMOKE_MIN_SPEEDUP}x vs the fast path "
         f"at n={' and '.join(map(str, SMOKE_PERF_NS))}; exit 1 on failure",
     )
-    parser.add_argument(
-        "--doors",
-        action="store_true",
-        help="measure only the door_scaling block (2^10..2^20 through every "
-        "door) and record it",
-    )
     args = parser.parse_args()
 
     if args.columnar_smoke:
         return columnar_smoke()
-    if args.doors:
-        door_block = measure_door_block()
-        record({"door_scaling": door_block}, args.output)
-        print(f"wrote door_scaling to {args.output}")
-        return 0
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     reps = 3 if args.smoke else 5

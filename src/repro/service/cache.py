@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.comms.communication import CommunicationSet
+from repro.comms.wellnested import is_well_nested
 from repro.core.config import SchedulerConfig
 from repro.cst.topology import check_n_leaves
 from repro.exceptions import OrientationError, SchedulingError
@@ -116,9 +117,8 @@ def canonical_signature(
         )
     check_n_leaves(n)
     cfg = config if config is not None else SchedulerConfig()
-    swept = _well_nested_sweep(cset)
-    if swept is not None:
-        dyck, pairs = swept
+    if is_well_nested(cset):
+        dyck, pairs = _dyck_and_pairs(cset)
         return CanonicalKey(n, dyck, pairs, cfg.cache_signature())
     if not cset.is_right_oriented and cfg.decompose != "auto":
         # preserve the historical door behaviour outside auto mode
@@ -130,32 +130,26 @@ def canonical_signature(
     return CanonicalKey(n, _general_dyck(cset), pairs, cfg.cache_signature(), general=True)
 
 
-def _well_nested_sweep(cset: CommunicationSet) -> tuple[str, tuple[int, ...]] | None:
-    """``(Dyck word, flat endpoints)`` of a well-nested set, else ``None``.
+def _dyck_and_pairs(cset: CommunicationSet) -> tuple[str, tuple[int, ...]]:
+    """``(Dyck word, flat endpoints)`` of a well-nested set.
 
     One pass over the source-sorted communications with a stack of the
-    open intervals' destinations, as in
-    :func:`~repro.comms.wellnested.is_well_nested`: an interval that ends
-    before the next source closes (``)``), each source opens (``(``), and
-    a left-oriented pair or one that ends past its encloser is not
-    well-nested.
+    open intervals' destinations: an interval that ends before the next
+    source closes (``)``), each source opens (``(``).  The set must already
+    have passed :func:`~repro.comms.wellnested.is_well_nested`.
     """
     word: list[str] = []
     pairs: list[int] = []
     open_dsts: list[int] = []
     for c in cset.comms:
-        src, dst = c.src, c.dst
-        if dst < src:
-            return None
+        src = c.src
         while open_dsts and open_dsts[-1] < src:
             open_dsts.pop()
             word.append(")")
-        if open_dsts and open_dsts[-1] < dst:
-            return None
-        open_dsts.append(dst)
+        open_dsts.append(c.dst)
         word.append("(")
         pairs.append(src)
-        pairs.append(dst)
+        pairs.append(c.dst)
     word.append(")" * len(open_dsts))
     return "".join(word), tuple(pairs)
 
