@@ -25,9 +25,9 @@ Usage::
 
 The full sweep replaces the ``"rows"``, ``"columnar"`` and
 ``"door_scaling"`` blocks through the one merging writer
-(``scripts/bench_results.py``), so every other suite's block survives.  ``--smoke`` never writes: its rows are a subset
-measured with fewer repetitions, and the baseline it gates against is the
-full sweep's.
+(``scripts/bench_results.py``), so every other suite's block survives.
+``--smoke`` never writes: its rows are a subset measured with fewer
+repetitions, and the baseline it gates against is the full sweep's.
 
 The full sweep also records a ``"columnar"`` trajectory — fast vs
 columnar single-schedule times plus same-shape batched throughput — next
