@@ -1,7 +1,8 @@
 """EXT — the paper's §6 extensions: mixed orientations and the SRGA.
 
 * general sets decompose into two oriented halves (paper §2.1) —
-  measured: rounds = w_right + w_left, correctness verified;
+  measured: batch-after-batch rounds = w_right + w_left, correctness
+  verified, and the packed plan's rounds next to them;
 * the SRGA substrate routes independent row/column sets concurrently —
   measured: makespan = max over trees, per-tree Theorem-8 bound intact.
 """
@@ -10,8 +11,8 @@ from repro.analysis.verifier import verify_schedule
 from repro.comms.communication import Communication, CommunicationSet
 from repro.comms.generators import crossing_chain, disjoint_pairs
 from repro.comms.width import width
+from repro.core.plan import schedule_general
 from repro.cst.topology import CSTTopology
-from repro.extensions.oriented import OrientedDecompositionScheduler
 from repro.extensions.srga import SRGA
 
 from conftest import emit
@@ -27,9 +28,9 @@ def _mixed_set(n=32):
 def test_ext_mixed_orientation_decomposition(benchmark):
     mixed = _mixed_set()
 
-    s = benchmark(lambda: OrientedDecompositionScheduler().schedule(mixed, n_leaves=32))
+    gs = benchmark(lambda: schedule_general(mixed, n_leaves=32))
 
-    verify_schedule(s, mixed).raise_if_failed()
+    verify_schedule(gs.combined, mixed).raise_if_failed()
     topo = CSTTopology.of(32)
     w_right = width(mixed.right_oriented_subset(), topo)
     w_left = width(mixed.left_oriented_subset().mirrored(32), topo)
@@ -40,12 +41,14 @@ def test_ext_mixed_orientation_decomposition(benchmark):
                 "comms": len(mixed),
                 "w_right": w_right,
                 "w_left": w_left,
-                "rounds": s.n_rounds,
-                "max_switch_changes": s.power.max_switch_changes,
+                "sequential_rounds": gs.sequential_rounds,
+                "packed_rounds": gs.rounds_used,
+                "max_switch_changes": gs.combined.power.max_switch_changes,
             }
         ],
     )
-    assert s.n_rounds == w_right + w_left
+    assert gs.sequential_rounds == w_right + w_left
+    assert gs.rounds_used <= gs.sequential_rounds
 
 
 def test_ext_srga_full_grid(benchmark):

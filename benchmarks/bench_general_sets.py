@@ -1,21 +1,20 @@
-"""GEN — arbitrary communication sets via well-nested layering (§6).
+"""GEN — arbitrary communication sets via well-nested decomposition (§6).
 
 Extends the paper's future-work direction: crossing pairs and mixed
-orientations handled by decomposing into well-nested layers, sequentially
-(`general-layered`) or with cross-layer round merging
-(`general-interleaved`).  Expected shape: the interleaved variant never
-uses more rounds, and opposite orientations overlap almost freely.
+orientations are decomposed into well-nested batches
+(:func:`repro.comms.decompose.decompose`) and scheduled by
+:func:`repro.core.plan.schedule_general`, which reports both the rounds a
+batch-after-batch execution takes (``sequential_rounds``) and the rounds
+of the packed plan it actually runs (``rounds_used``).  Expected shape:
+packing never uses more rounds, and opposite orientations overlap almost
+freely.
 """
 
 import numpy as np
 
 from repro.analysis.verifier import verify_schedule
 from repro.comms.communication import Communication, CommunicationSet
-from repro.extensions.general import (
-    GeneralSetScheduler,
-    InterleavedGeneralScheduler,
-    wellnested_layers,
-)
+from repro.core.plan import schedule_general
 
 from conftest import emit
 
@@ -35,18 +34,19 @@ def test_gen_crossing_ladder_layering(benchmark):
         rows = []
         for k in sizes:
             cset = _crossing_ladder(k)
-            layers = wellnested_layers(cset)
-            seq = GeneralSetScheduler().schedule(cset)
-            verify_schedule(seq, cset).raise_if_failed()
+            gs = schedule_general(cset)
+            verify_schedule(gs.combined, cset).raise_if_failed()
             rows.append(
-                {"crossing_pairs": k, "layers": len(layers),
-                 "rounds": seq.n_rounds}
+                {"crossing_pairs": k, "batches": gs.n_batches,
+                 "sequential_rounds": gs.sequential_rounds,
+                 "packed_rounds": gs.rounds_used}
             )
         return rows
 
     rows = benchmark(sweep)
     emit("GEN: fully-crossing ladders", rows)
-    assert all(r["layers"] == r["crossing_pairs"] for r in rows)
+    assert all(r["batches"] == r["crossing_pairs"] for r in rows)
+    assert all(r["sequential_rounds"] == r["crossing_pairs"] for r in rows)
 
 
 def test_gen_interleaving_opposite_orientations(benchmark):
@@ -55,21 +55,21 @@ def test_gen_interleaving_opposite_orientations(benchmark):
     left = [Communication(12 - i, 3 + i) for i in range(2)]
     cset = CommunicationSet(right + left)
 
-    def both():
-        seq = GeneralSetScheduler().schedule(cset, n_leaves=16)
-        merged = InterleavedGeneralScheduler().schedule(cset, n_leaves=16)
-        verify_schedule(merged, cset).raise_if_failed()
-        return seq, merged
+    def run():
+        gs = schedule_general(cset, n_leaves=16)
+        verify_schedule(gs.combined, cset).raise_if_failed()
+        return gs
 
-    seq, merged = benchmark(both)
+    gs = benchmark(run)
     emit(
-        "GEN: opposite orientations, sequential vs interleaved",
+        "GEN: opposite orientations, sequential vs packed",
         [
-            {"variant": "sequential", "rounds": seq.n_rounds},
-            {"variant": "interleaved", "rounds": merged.n_rounds},
+            {"variant": "sequential", "rounds": gs.sequential_rounds},
+            {"variant": "packed", "rounds": gs.rounds_used},
         ],
     )
-    assert merged.n_rounds < seq.n_rounds
+    assert gs.sequential_rounds == 5
+    assert gs.rounds_used == 3
 
 
 def test_gen_random_arbitrary_sets(benchmark):
@@ -84,21 +84,18 @@ def test_gen_random_arbitrary_sets(benchmark):
                 Communication(int(pes[2 * i]), int(pes[2 * i + 1]))
                 for i in range(k)
             )
-            sched = GeneralSetScheduler()
-            seq = sched.schedule(cset, n_leaves=64)
-            verify_schedule(seq, cset).raise_if_failed()
-            merged = InterleavedGeneralScheduler().schedule(cset, n_leaves=64)
-            verify_schedule(merged, cset).raise_if_failed()
+            gs = schedule_general(cset, n_leaves=64)
+            verify_schedule(gs.combined, cset).raise_if_failed()
             rows.append(
                 {
                     "pairs": k,
-                    "layers": sched.last_layering.total_layers,
-                    "seq_rounds": seq.n_rounds,
-                    "interleaved_rounds": merged.n_rounds,
+                    "batches": gs.n_batches,
+                    "sequential_rounds": gs.sequential_rounds,
+                    "packed_rounds": gs.rounds_used,
                 }
             )
         return rows
 
     rows = benchmark(sweep)
     emit("GEN: random arbitrary sets (64 leaves)", rows)
-    assert all(r["interleaved_rounds"] <= r["seq_rounds"] for r in rows)
+    assert all(r["packed_rounds"] <= r["sequential_rounds"] for r in rows)

@@ -8,7 +8,8 @@ then the DMA pattern again...).  Two properties of the reproduction show
 up together:
 
 * arbitrary phase patterns — including crossing pairs, which are not
-  well-nested — are handled by the general-set scheduler;
+  well-nested — are split into well-nested batches and packed into one
+  round plan by :func:`repro.core.plan.schedule_general`;
 * across phases, the stream scheduler keeps crossbar configurations in
   place, so a *recurring* phase is almost free in configuration energy:
   the PADR idea applied at the timescale above a single schedule.
@@ -19,7 +20,7 @@ Run:  python examples/noc_traffic.py
 import sys
 
 from repro import Communication, CommunicationSet
-from repro.extensions.general import GeneralSetScheduler
+from repro.core.plan import schedule_general
 from repro.extensions.stream import StreamScheduler
 from repro.analysis.verifier import verify_schedule
 
@@ -52,13 +53,13 @@ def main() -> int:
     n = 64
     # one phase with crossings + mixed orientation, scheduled standalone
     phase = core_to_accel()
-    sched = GeneralSetScheduler()
-    s = sched.schedule(phase, n)
-    verify_schedule(s, phase).raise_if_failed()
+    g = schedule_general(phase, n_leaves=n)
+    verify_schedule(g.combined, phase).raise_if_failed()
     print(
         f"mixed phase: {len(phase)} transfers, "
-        f"{sched.last_layering.total_layers} well-nested layers, "
-        f"{s.n_rounds} rounds, {s.power.total_units} units"
+        f"{g.n_batches} well-nested batches, "
+        f"{g.sequential_rounds} rounds batch after batch, "
+        f"{g.rounds_used} packed, {g.power_units} units"
     )
 
     # the recurring traffic program: DMA, compute, DMA, compute, ...

@@ -35,7 +35,7 @@ def main() -> int:
     print()
 
     # the paper's algorithm: distributed, counters-and-ranks only
-    schedule = PADRScheduler().schedule(cset, n_leaves)
+    schedule = PADRScheduler().schedule(cset, n_leaves=n_leaves)
 
     # Theorem 4: every payload reached exactly its matching destination
     verify_schedule(schedule, cset).raise_if_failed()

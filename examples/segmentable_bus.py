@@ -33,7 +33,7 @@ def main() -> int:
     total_power = 0
     for i, bounds in enumerate(steps):
         cset = segmentable_bus(bounds)
-        schedule = PADRScheduler().schedule(cset, n)
+        schedule = PADRScheduler().schedule(cset, n_leaves=n)
         verify_schedule(schedule, cset).raise_if_failed()
         total_power += schedule.power.total_units
         print(

@@ -37,7 +37,7 @@ def main() -> int:
         )
     )
 
-    schedule = PADRScheduler().schedule(cset, n)
+    schedule = PADRScheduler().schedule(cset, n_leaves=n)
     print(f"\nPhase 2 — {schedule.n_rounds} rounds for width {width(cset)}:")
     for r in range(schedule.n_rounds):
         print()

@@ -10,7 +10,7 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_csa.py
     PYTHONPATH=src python scripts/profile_csa.py --n 16384 --width 64
-    PYTHONPATH=src python scripts/profile_csa.py --engine columnar
+    PYTHONPATH=src python scripts/profile_csa.py --engine auto
     PYTHONPATH=src python scripts/profile_csa.py --sort tottime
 """
 
@@ -43,7 +43,7 @@ def main() -> int:
     parser.add_argument(
         "--engine",
         default="fast",
-        choices=["reference", "fast", "columnar"],
+        choices=["auto", "fast", "reference"],
         help="wave engine backend to profile (default fast)",
     )
     parser.add_argument(

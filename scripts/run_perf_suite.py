@@ -33,7 +33,8 @@ The full sweep also records a ``"columnar"`` trajectory — fast vs
 columnar single-schedule times plus same-shape batched throughput — next
 to the per-size ``"rows"``.
 ``--columnar-smoke`` is the CI gate: schedules must be bit-identical
-between the fast and columnar engines on mixed workloads, and the
+between ``engine="fast"`` and the columnar kernel (``engine="auto"``) on
+mixed workloads, and the
 columnar path must clear a hardware-tolerant speedup floor.
 
 The full sweep also records ``"door_scaling"``: one fixed 24-pair set per
@@ -172,7 +173,7 @@ def measure_columnar(n: int, reps: int) -> dict:
 
     cset = workload(n)
     fast_cfg = SchedulerConfig(validate_input=False, engine="fast")
-    col_cfg = SchedulerConfig(validate_input=False, engine="columnar")
+    col_cfg = SchedulerConfig(validate_input=False, engine="auto")
     fast = PADRScheduler(config=fast_cfg)
     col = PADRScheduler(config=col_cfg)
 
@@ -328,7 +329,8 @@ def columnar_smoke() -> int:
     """CI gate for the columnar kernel: exact parity + a perf floor.
 
     Parity: at ``SMOKE_PARITY_N`` leaves every mixed workload must
-    serialize bit-identically under the fast and columnar engines.
+    serialize bit-identically under ``engine="fast"`` and the columnar
+    kernel (``engine="auto"``).
     Perf: at every size in ``SMOKE_PERF_NS`` the columnar single-schedule
     path must be at least ``SMOKE_MIN_SPEEDUP``× the fast path on the
     suite's sparse ``workload(n)`` — well under the ~3× (n=256) and ~10×
@@ -342,7 +344,7 @@ def columnar_smoke() -> int:
     n = SMOKE_PARITY_N
     fast = PADRScheduler(config=SchedulerConfig(validate_input=False, engine="fast"))
     col = PADRScheduler(
-        config=SchedulerConfig(validate_input=False, engine="columnar")
+        config=SchedulerConfig(validate_input=False, engine="auto")
     )
     for i, cset in enumerate(mixed_workloads(n, 12, seed=SEED)):
         a = schedule_to_dict(fast.schedule(cset, n_leaves=n))

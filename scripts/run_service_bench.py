@@ -37,9 +37,9 @@ The ``--smoke`` gate asserts the hardware-independent service contract:
 64 mixed workloads at n=256, every request settles DONE, resubmission
 cache hit-rate >= 50%, bit-identical parity throughout, and cache-hit
 serving >= 20x faster than direct scheduling.  Its dispatch gate counts
-waves, not time: on >= 2 usable CPUs a full-miss n=4096 64-pair drain of
-16 goes to the pool and a lone 1-pair request runs in-process; on one CPU
-both run in-process; both byte-identical to direct scheduling.  The full
+waves, not time: on >= 2 usable CPUs a full-miss n=8192 1024-pair drain
+of 16 goes to the pool and a lone 1-pair request runs in-process; on one
+CPU both run in-process; both byte-identical to direct scheduling.  The full
 run's ``--enforce`` gate asserts that at every dispatch row the
 dispatched figure is within 1.25x of the faster of in-process and pool;
 it is timing-dependent, so it is otherwise reported but not gated — the
@@ -84,6 +84,8 @@ SMOKE_LEAVES = 256
 #: full-miss dispatch rows: (leaves, pairs) of every request in a drain of 16
 MISS_ROWS = ((256, 16), (1024, 64), (4096, 64), (16384, 256))
 MISS_DRAIN = 16
+#: (n_leaves, pairs) of the smoke dispatch gate's full-miss drains
+HEAVY_DRAIN = (8192, 1024)
 #: timed drains per mode: full-miss rows, and the batch_repeat-like and
 #: general_fabric-like mixes (a row's figure is the mean over its drains;
 #: fewer than this moved a row by 15-20% between runs on a 2-vCPU host)
@@ -379,12 +381,19 @@ def run_smoke(args: argparse.Namespace) -> int:
         second = service(batch, n_leaves=SMOKE_LEAVES)
 
     direct = PADRScheduler()
-    direct_s, direct_schedules = _time(
-        lambda: [direct.schedule(cs, n_leaves=SMOKE_LEAVES) for cs in batch]
-    )
+    # best of 5 per side, the sides taking turns: a single sample of a
+    # ~2 ms cached pass, or two sides timed in different host states,
+    # swings the ratio by a third on a shared 2-vCPU host
+    direct_s = cached_s = float("inf")
     with SchedulerService(workers=1, parity_check=False) as warm:
         warm(batch, n_leaves=SMOKE_LEAVES)
-        cached_s, cached_report = _time(lambda: warm(batch, n_leaves=SMOKE_LEAVES))
+        for _ in range(5):
+            seconds, direct_schedules = _time(
+                lambda: [direct.schedule(cs, n_leaves=SMOKE_LEAVES) for cs in batch]
+            )
+            direct_s = min(direct_s, seconds)
+            seconds, _ = _time(lambda: warm(batch, n_leaves=SMOKE_LEAVES))
+            cached_s = min(cached_s, seconds)
 
     failures = smoke_dispatch(workers)
     if first.n_done != SMOKE_COUNT:
@@ -424,29 +433,36 @@ def smoke_dispatch(workers: int) -> list[str]:
 
     Warm full-miss drains first give the rule its measurements: pooled
     ones until the pool side has its samples (the first forks the pool and
-    gives none; at most six run), then three pinned in-process.  Then, on
-    >= 2 usable CPUs, a full-miss n=4096 64-pair drain of 16 must go to the
-    pool and a lone 1-pair request run in-process; on one CPU both run
-    in-process.  Every payload must equal direct scheduling's, byte for
-    byte.
+    gives none), then pinned in-process ones until that side has its
+    samples (a wave that ran a full garbage collection gives none); at
+    most six run on each side.  Then, on >= 2 usable CPUs, a full-miss
+    drain of 16 at ``HEAVY_DRAIN`` must go to the pool and a lone 1-pair
+    request run in-process; on one CPU both run in-process.  Every payload
+    must equal direct scheduling's, byte for byte.
+
+    The heavy shape is one whose pinned pool run beats in-process on a
+    2-vCPU host: the pool pays back its round trip only on drains with
+    enough kernel work per byte shipped back.
     """
-    heavy = miss_drains(4096, 64, 10, seed=5)
-    lone = [(4096, random_well_nested(1, 4096, np.random.default_rng(5)))]
+    n, pairs = HEAVY_DRAIN
+    heavy = miss_drains(n, pairs, 13, seed=5)
+    lone = [(n, random_well_nested(1, n, np.random.default_rng(5)))]
     want = {"pooled": 1, "inline": 1} if usable_cpus() >= 2 else {"pooled": 0, "inline": 2}
     obs = Instrumentation(MetricsRegistry(), run="smoke")
     failures = []
     with SchedulerService(workers=max(2, workers), obs=obs) as svc:
         cost = svc._executor.cost  # the rule's measurements, read-only here
-        for drain in heavy[:6]:
-            _run_drain(svc, drain)
-            if len(cost.overhead_samples) >= cost.MEASURED or usable_cpus() < 2:
-                break
-        pin_dispatch(svc, False)
-        for drain in heavy[6:9]:
-            _run_drain(svc, drain)
-        pin_dispatch(svc, None)
+        if usable_cpus() >= 2:  # on one CPU the rule never pools
+            for side, drains in ((True, heavy[:6]), (False, heavy[6:12])):
+                pin_dispatch(svc, side)
+                samples = cost.overhead_samples if side else cost.inline_samples
+                for drain in drains:
+                    _run_drain(svc, drain)
+                    if len(samples) >= cost.MEASURED:
+                        break
+            pin_dispatch(svc, None)
         before = _dispatch_counts(obs)
-        for drain in (heavy[9], lone):
+        for drain in (heavy[12], lone):
             if _run_drain(svc, drain) != _expected(drain, SchedulerConfig()):
                 failures.append("dispatched payloads diverge from direct scheduling")
         after = _dispatch_counts(obs)

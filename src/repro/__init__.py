@@ -27,7 +27,8 @@ Package map
                      ID schedulers.
 ``repro.analysis``   verification (Theorem 4), optimality (Theorem 5) and
                      power reporting (Theorem 8).
-``repro.extensions`` left-oriented/mixed sets and the SRGA grid substrate.
+``repro.extensions`` left-oriented sets by mirroring, streams, collectives
+                     and the SRGA grid substrate.
 ``repro.obs``        observability: metrics registry, structured trace
                      export, scheduler instrumentation.
 ``repro.recovery``   fault detection (probe circuits), quarantine planning
@@ -76,10 +77,7 @@ from repro.cst.power import PowerPolicy
 from repro.cst.topology import CSTTopology
 from repro.extensions import (
     SRGA,
-    GeneralSetScheduler,
-    InterleavedGeneralScheduler,
     MirroredScheduler,
-    OrientedDecompositionScheduler,
     StreamScheduler,
 )
 from repro.io import (
@@ -159,10 +157,7 @@ __all__ = [
     "PowerPolicy",
     "CSTTopology",
     "SRGA",
-    "GeneralSetScheduler",
-    "InterleavedGeneralScheduler",
     "MirroredScheduler",
-    "OrientedDecompositionScheduler",
     "StreamScheduler",
     "cset_from_dict",
     "cset_to_dict",

@@ -759,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         "canary",
         help="record/replay a workload and gate an engine promotion on SLOs",
     )
-    p.add_argument("--engine", default="columnar", choices=["reference", "fast", "columnar"])
+    p.add_argument("--engine", default="fast", choices=["auto", "fast", "reference"])
     p.add_argument("--count", type=int, default=120)
     p.add_argument("--leaves", type=int, default=256)
     p.add_argument("--deadline", type=int, default=96)

@@ -706,9 +706,8 @@ def schedule_batch(
     keeps elements in lockstep but is not required for correctness.
 
     Falls back to the per-set scalar scheduler when the configuration or
-    power policy is outside the columnar guards (eager teardown,
-    ``trace_compat``, reference engine), so callers never need to
-    pre-validate.
+    power policy is outside the columnar guards (eager teardown, or an
+    engine other than ``"auto"``), so callers never need to pre-validate.
     """
     from repro.core.config import SchedulerConfig
 
@@ -717,9 +716,7 @@ def schedule_batch(
     if not cset_list:
         return []
     pol = policy or PowerPolicy.paper()
-    if pol.eager_teardown or cfg.trace_compat or not cfg.fast_path or (
-        cfg.engine == "reference"
-    ):
+    if pol.eager_teardown or not cfg.selects_columnar(n_leaves):
         from repro.core.csa import PADRScheduler
 
         sched = PADRScheduler(config=cfg)

@@ -34,7 +34,7 @@ from repro.exceptions import SchedulingError
 
 __all__ = ["SchedulerConfig"]
 
-_ENGINES = ("auto", "reference", "fast", "columnar")
+_ENGINES = ("auto", "fast", "reference")
 _DECOMPOSE_MODES = ("auto", "strict", "never")
 
 
@@ -42,11 +42,6 @@ _DECOMPOSE_MODES = ("auto", "strict", "never")
 class SchedulerConfig:
     """Consolidated scheduler configuration.
 
-    ``fast_path``
-        run the frontier-pruned :class:`~repro.cst.engine.CSTEngine`
-        (default) or the naive :class:`~repro.cst.engine.ReferenceWaveEngine`
-        differential oracle.  Schedules are bit-identical either way
-        (property-tested); only physical-plane traffic differs.
     ``validate_input`` / ``check_postconditions`` / ``strict``
         the CSA's safety rails (see :class:`~repro.core.csa.PADRScheduler`).
     ``reuse_phase1``
@@ -59,16 +54,15 @@ class SchedulerConfig:
         :class:`~repro.cst.engine.EngineTrace` (bounds memory on long
         streams; totals are always exact).
     ``engine``
-        explicit backend selection: ``"auto"`` (default) and
-        ``"columnar"`` both take the columnar kernel at every tree size
-        wherever its guards hold, the per-switch fast path elsewhere;
-        ``"fast"`` always walks per-switch objects; ``"reference"`` is the
-        naive oracle.  Schedules are bit-identical across all four
-        (property-tested).
-    ``trace_compat``
-        force the per-switch slow path even where the columnar kernel
-        would apply, preserving exact physical trace detail (event logs,
-        per-switch object state, ``last_states`` introspection).
+        the one backend switch: ``"auto"`` (default) takes the columnar
+        kernel at every tree size wherever its guards hold, the
+        frontier-pruned per-switch :class:`~repro.cst.engine.CSTEngine`
+        elsewhere; ``"fast"`` always walks per-switch state, keeping exact
+        physical trace detail (event logs, ``last_states``
+        introspection); ``"reference"`` is the naive
+        :class:`~repro.cst.engine.ReferenceWaveEngine` differential
+        oracle.  Schedules are bit-identical across all three
+        (property-tested); only physical-plane traffic differs.
     ``decompose``
         what :meth:`~repro.core.base.Scheduler.schedule` does with inputs
         that are not right-oriented well-nested: ``"strict"`` (default —
@@ -87,13 +81,11 @@ class SchedulerConfig:
     validate_input: bool = True
     check_postconditions: bool = True
     strict: bool = True
-    fast_path: bool = True
     reuse_phase1: bool = False
     fresh_network_per_step: bool = False
     verify_steps: bool = True
     trace_wave_cap: int = EngineTrace.PER_WAVE_CAP
     engine: str = "auto"
-    trace_compat: bool = False
     decompose: str = "strict"
     recfg_alpha: float = 0.0
 
@@ -105,10 +97,6 @@ class SchedulerConfig:
         if self.engine not in _ENGINES:
             raise SchedulingError(
                 f"unknown engine {self.engine!r}; expected one of {_ENGINES}"
-            )
-        if self.engine in ("fast", "columnar") and not self.fast_path:
-            raise SchedulingError(
-                f"engine={self.engine!r} contradicts fast_path=False"
             )
         if self.decompose not in _DECOMPOSE_MODES:
             raise SchedulingError(
@@ -128,22 +116,21 @@ class SchedulerConfig:
         Resolvable without instantiating a network, which is what lets the
         scheduler skip building one entirely on the columnar path.
         """
-        if not self.fast_path or self.engine == "reference":
+        if self.engine == "reference":
             return ReferenceWaveEngine
         if self.engine == "fast":
             return CSTEngine
-        return ColumnarWaveEngine  # "auto" and "columnar"
+        return ColumnarWaveEngine
 
     def selects_columnar(self, n_leaves: int) -> bool:
         """Whether a schedule on ``n_leaves`` leaves takes the columnar kernel
         (guards the network cannot veto — policy/fault state still can).
 
-        The kernel serves every tree size, so only the engine selection and
-        ``trace_compat`` decide.  The service layer uses this to decide
-        same-shape batch grouping, so it must agree with the scheduler's
-        own dispatch.
+        The kernel serves every tree size, so only the engine selection
+        decides.  The service layer uses this to decide same-shape batch
+        grouping, so it must agree with the scheduler's own dispatch.
         """
-        return not self.trace_compat and self.engine_cls() is ColumnarWaveEngine
+        return self.engine_cls() is ColumnarWaveEngine
 
     def engine_factory(self) -> Callable[[CSTNetwork], CSTEngine]:
         """The engine constructor this configuration selects.

@@ -211,20 +211,19 @@ class PADRScheduler(Scheduler):
 
         The engine selection must ask for it (a
         :class:`~repro.cst.engine.ColumnarWaveEngine`, which ``"auto"``
-        and ``"columnar"`` resolve to at every tree size), ``trace_compat``
-        must be off, the teardown policy lazy, and any caller-supplied
-        network pristine and healthy with no event log — the kernel
-        reproduces the scalar engines' final network state by write-back,
-        which is only bit-identical from a clean start.  Outside these
-        guards the scalar fast path runs; schedules are identical either
-        way.
+        resolves to at every tree size — the config's
+        :meth:`~repro.core.config.SchedulerConfig.selects_columnar`, or an
+        explicit ``engine_factory``), the teardown policy must be lazy, and
+        any caller-supplied network pristine and healthy with no event
+        log — the kernel reproduces the scalar engines' final network
+        state by write-back, which is only bit-identical from a clean
+        start.  Outside these guards the scalar fast path runs; schedules
+        are identical either way.
         """
         factory = self.engine_factory
         if not isinstance(factory, type):
             factory = getattr(factory, "engine_cls", None)
         if not getattr(factory, "supports_columnar_phase2", False):
-            return False
-        if self.config.trace_compat:
             return False
         if network is None:
             return policy is None or not policy.eager_teardown

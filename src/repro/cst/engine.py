@@ -300,9 +300,9 @@ class ColumnarWaveEngine(CSTEngine):
     """Marker engine selecting the columnar Phase-2 kernel.
 
     When :class:`~repro.core.csa.PADRScheduler` sees this engine (directly,
-    or resolved through ``SchedulerConfig(engine="columnar"/"auto")``) and
-    the run fits the columnar guards — healthy network, pristine state,
-    lazy teardown, no event log, no ``trace_compat`` — it executes the
+    or resolved through ``SchedulerConfig(engine="auto")``) and the run
+    fits the columnar guards — healthy network, pristine state, lazy
+    teardown, no event log — it executes the
     whole schedule through :mod:`repro.core.columnar` instead of walking
     per-switch objects wave by wave.  Schedules, power bills and logical
     traces are bit-identical (property-tested); only wall-clock time

@@ -1,12 +1,8 @@
 """Extensions sketched in the paper's concluding remarks (§6).
 
-``oriented`` — left-oriented sets by mirroring, and scheduling of general
-               (mixed-orientation) well-nested sets by decomposition into
-               two oriented sets (paper §2.1: "Any set can be decomposed
-               into two sets each of them is oriented").
-``general``  — *arbitrary* communication sets (crossing pairs allowed) via
-               well-nested layering, sequentially or with cross-layer
-               round merging.
+``oriented`` — left-oriented sets by mirroring (paper §2.1).  Mixed and
+               crossing sets are not an extension: they lower through
+               :func:`repro.core.plan.schedule_general`.
 ``stream``   — PADR across a sequence of communication sets on one
                persistent network: cross-set configuration reuse.
 ``algorithms`` — computational algorithms under PADR (tree reduction).
@@ -17,17 +13,7 @@
                with row/column scheduling built on the core algorithm.
 """
 
-from repro.extensions.oriented import (
-    MirroredScheduler,
-    OrientedDecompositionScheduler,
-    decompose_by_orientation,
-)
-from repro.extensions.general import (
-    GeneralSetScheduler,
-    InterleavedGeneralScheduler,
-    LayeringReport,
-    wellnested_layers,
-)
+from repro.extensions.oriented import MirroredScheduler
 from repro.extensions.stream import StreamResult, StreamScheduler, StreamStep
 from repro.extensions.algorithms import ReductionResult, srga_row_reduce, tree_reduce
 from repro.extensions.collectives import (
@@ -42,12 +28,6 @@ from repro.extensions.grid_routing import GridMessage, GridRoutingResult, route_
 
 __all__ = [
     "MirroredScheduler",
-    "OrientedDecompositionScheduler",
-    "decompose_by_orientation",
-    "GeneralSetScheduler",
-    "InterleavedGeneralScheduler",
-    "LayeringReport",
-    "wellnested_layers",
     "StreamResult",
     "StreamScheduler",
     "StreamStep",

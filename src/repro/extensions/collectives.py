@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.comms.communication import Communication, CommunicationSet
+from repro.comms.decompose import decompose
 from repro.core.base import Scheduler
 from repro.core.csa import PADRScheduler
 from repro.core.left import LeftPADRScheduler
 from repro.core.schedule import Schedule
 from repro.cst.network import CSTNetwork
 from repro.exceptions import ReproError
-from repro.extensions.general import wellnested_layers
 from repro.util.bitmath import ilog2, is_power_of_two
 
 __all__ = ["CollectiveError", "CollectiveResult", "gather", "scatter", "shift", "reverse"]
@@ -149,8 +149,8 @@ def shift(values: Sequence[Any], distance: int) -> CollectiveResult:
     A single set cannot express a shift (every interior PE is both a
     sender and a receiver), so the program has two *phases* split by the
     parity of ``i // d`` — within a phase no PE plays two roles; phases
-    may still contain crossing pairs and are layered by
-    :func:`~repro.extensions.general.wellnested_layers`.
+    may still contain crossing pairs and are layered into well-nested
+    batches by :func:`~repro.comms.decompose.decompose`.
     """
     n = len(values)
     _check_pow2(n, "shift")
@@ -168,7 +168,8 @@ def shift(values: Sequence[Any], distance: int) -> CollectiveResult:
         ]
         if not comms:
             continue
-        for layer in wellnested_layers(CommunicationSet(comms)):
+        for batch in decompose(CommunicationSet(comms)).batches:
+            layer = batch.cset
             received, schedule = _route_step(
                 layer, n, {c.src: values[c.src] for c in layer}, PADRScheduler()
             )

@@ -8,10 +8,11 @@ destination column (phase 1), is handed off at the intermediate PE
 this library's machinery.
 
 Each phase groups transfers by tree; a tree's transfer set may be
-arbitrary (crossings, mixed orientation), so phases route through
-:class:`~repro.extensions.general.GeneralSetScheduler` layers with real
-payloads.  Messages already in their destination column skip phase 1;
-messages already in their destination row skip phase 2.
+arbitrary (crossings, mixed orientation), so each orientation is split
+into well-nested layers by :func:`~repro.comms.decompose.decompose` and
+every layer is routed with real payloads.  Messages already in their
+destination column skip phase 1; messages already in their destination
+row skip phase 2.
 
 Restrictions inherited from the one-role-per-PE model: within one routing
 step, a PE may appear as at most one endpoint *per tree* it participates
@@ -25,10 +26,11 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.comms.communication import Communication, CommunicationSet
+from repro.comms.decompose import decompose
 from repro.core.csa import PADRScheduler
+from repro.core.left import LeftPADRScheduler
 from repro.cst.network import CSTNetwork
 from repro.exceptions import CommunicationError, ReproError
-from repro.extensions.general import wellnested_layers
 from repro.extensions.srga import SRGA
 
 __all__ = ["GridRoutingError", "GridMessage", "GridRoutingResult", "route_xy"]
@@ -90,19 +92,17 @@ def _route_tree_sets(
             ) from exc
         payloads = {s: p for s, _, p in transfers}
         tree_rounds = 0
-        from repro.extensions.oriented import decompose_by_orientation
-
-        right, left = decompose_by_orientation(cset)
+        right, left = cset.right_oriented_subset(), cset.left_oriented_subset()
         oriented_parts = [part for part in (right, left) if len(part)]
         for part in oriented_parts:
             # layer each orientation; left-oriented layers are mirrored
             # into right-oriented form for layering, then routed natively.
             probe = part if part.is_right_oriented else part.mirrored(n_leaves)
-            for probe_layer in wellnested_layers(probe):
+            for batch in decompose(probe).batches:
                 layer = (
-                    probe_layer
+                    batch.cset
                     if part.is_right_oriented
-                    else probe_layer.mirrored(n_leaves)
+                    else batch.cset.mirrored(n_leaves)
                 )
                 network = CSTNetwork.of_size(n_leaves)
                 network.assign_roles(layer.roles())
@@ -111,8 +111,6 @@ def _route_tree_sets(
                 if layer.is_right_oriented:
                     schedule = scheduler.schedule(layer, network=network)
                 else:
-                    from repro.core.left import LeftPADRScheduler
-
                     schedule = LeftPADRScheduler().schedule(layer, network=network)
                 tree_rounds += schedule.n_rounds
                 power += schedule.power.total_units

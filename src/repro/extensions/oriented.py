@@ -1,18 +1,15 @@
-"""Orientation handling: left-oriented sets and general-set decomposition.
+"""Left-oriented sets by reflection.
 
 The paper treats right-oriented sets and notes (§2.1) that left-oriented
 sets are symmetric and that any set decomposes into one set of each
-orientation.  This module makes both concrete:
-
-* :class:`MirroredScheduler` schedules a *left-oriented* well-nested set by
-  reflecting PE indices through the centre of the tree, running any
-  right-oriented scheduler, and reflecting the resulting schedule back.
-  Reflection swaps the roles of left/right children everywhere, so a
-  schedule valid on the mirror image is valid on the original.
-* :class:`OrientedDecompositionScheduler` splits a mixed set into its
-  right- and left-oriented subsets, schedules each with the CSA (the left
-  one via mirroring), and concatenates the rounds.  The combined length is
-  ``w_right + w_left``; the paper makes no stronger claim for mixed sets.
+orientation.  :class:`MirroredScheduler` schedules a *left-oriented*
+well-nested set by reflecting PE indices through the centre of the tree,
+running any right-oriented scheduler, and reflecting the resulting
+schedule back.  Reflection swaps the roles of left/right children
+everywhere, so a schedule valid on the mirror image is valid on the
+original.  Mixed and crossing sets go through
+:func:`repro.core.plan.schedule_general`, which splits them by
+orientation (:func:`repro.comms.decompose.decompose`).
 """
 
 from __future__ import annotations
@@ -21,21 +18,9 @@ from repro.comms.communication import Communication, CommunicationSet
 from repro.core.base import ScheduleContext, Scheduler
 from repro.core.csa import PADRScheduler
 from repro.core.schedule import RoundRecord, Schedule
-from repro.cst.power import PowerReport
 from repro.exceptions import OrientationError
 
-__all__ = [
-    "decompose_by_orientation",
-    "MirroredScheduler",
-    "OrientedDecompositionScheduler",
-]
-
-
-def decompose_by_orientation(
-    cset: CommunicationSet,
-) -> tuple[CommunicationSet, CommunicationSet]:
-    """Split into (right-oriented, left-oriented) subsets (paper §2.1)."""
-    return cset.right_oriented_subset(), cset.left_oriented_subset()
+__all__ = ["MirroredScheduler"]
 
 
 def _mirror_schedule(schedule: Schedule, cset: CommunicationSet, n: int) -> Schedule:
@@ -78,80 +63,3 @@ class MirroredScheduler(Scheduler):
         mirrored = cset.mirrored(n)
         inner_schedule = self.inner.schedule(mirrored, n_leaves=n, policy=ctx.policy)
         return _mirror_schedule(inner_schedule, cset, n)
-
-
-class OrientedDecompositionScheduler(Scheduler):
-    """Schedule a mixed-orientation set: right subset first, then left.
-
-    Both subsets must individually be well-nested (each is validated by
-    the inner CSA); the concatenated schedule uses
-    ``width(right) + width(left)`` rounds and inherits the O(1) per-switch
-    change bound within each half.
-    """
-
-    name = "oriented-decomposition"
-    supports_network = False
-
-    def __init__(self, *, native_left: bool = False) -> None:
-        """``native_left`` schedules the left half with the mirror-lens
-        :class:`~repro.core.left.LeftPADRScheduler` instead of reflecting
-        the workload; the two are equivalent (cross-checked in the tests)
-        and differ only in which implementation runs."""
-        from repro.core.left import LeftPADRScheduler
-
-        self._right = PADRScheduler()
-        self._left: Scheduler = (
-            LeftPADRScheduler() if native_left else MirroredScheduler(PADRScheduler())
-        )
-
-    def _schedule(self, cset: CommunicationSet, ctx: ScheduleContext) -> Schedule:
-        n = ctx.n_leaves
-        policy = ctx.policy
-        right, left = decompose_by_orientation(cset)
-
-        parts: list[Schedule] = []
-        if len(right):
-            parts.append(self._right.schedule(right, n_leaves=n, policy=policy))
-        if len(left):
-            parts.append(self._left.schedule(left, n_leaves=n, policy=policy))
-
-        rounds: list[RoundRecord] = []
-        for part in parts:
-            for r in part.rounds:
-                rounds.append(
-                    RoundRecord(
-                        index=len(rounds),
-                        performed=r.performed,
-                        writers=r.writers,
-                        staged=r.staged,
-                    )
-                )
-        power = _merge_power(parts)
-        return Schedule(
-            cset=cset,
-            n_leaves=n,
-            scheduler_name=self.name,
-            rounds=tuple(rounds),
-            power=power,
-            control_messages=sum(p.control_messages for p in parts),
-            control_words=sum(p.control_words for p in parts),
-        )
-
-
-def _merge_power(parts: list[Schedule]) -> PowerReport:
-    """Sum power reports of sequentially-executed phases."""
-    units: dict[int, int] = {}
-    changes: dict[int, int] = {}
-    rounds = 0
-    for p in parts:
-        rounds += p.power.rounds
-        for k, v in p.power.per_switch_units.items():
-            units[k] = units.get(k, 0) + v
-        for k, v in p.power.per_switch_changes.items():
-            changes[k] = changes.get(k, 0) + v
-    return PowerReport(
-        total_units=sum(units.values()),
-        per_switch_units=units,
-        per_switch_changes=changes,
-        rounds=rounds,
-    )

@@ -127,9 +127,9 @@ def config_to_dict(config: Any) -> dict[str, Any]:
     """Serialize a :class:`~repro.core.config.SchedulerConfig`.
 
     This is the form the service layer ships to multiprocessing workers;
-    every field — including engine selection (``engine``,
-    ``trace_compat``) — round-trips exactly, so a worker schedules under
-    precisely the backend the caller selected.
+    every field — including the engine selection (``engine``) —
+    round-trips exactly, so a worker schedules under precisely the backend
+    the caller selected.
     """
     return {
         "format": _CONFIG_FORMAT,

@@ -28,7 +28,7 @@ N = 16
 
 
 def _columnar_scheduler(**overrides):
-    cfg = SchedulerConfig(engine="columnar", **overrides)
+    cfg = SchedulerConfig(**{"engine": "auto", **overrides})
     return PADRScheduler(config=cfg)
 
 
@@ -48,8 +48,8 @@ class TestDispatchGuards:
         sched = _columnar_scheduler()
         assert sched._columnar_applicable(N, None, None)
 
-    def test_trace_compat_vetoes(self):
-        sched = _columnar_scheduler(trace_compat=True)
+    def test_fast_engine_vetoes(self):
+        sched = _columnar_scheduler(engine="fast")
         assert not sched._columnar_applicable(N, None, None)
 
     def test_eager_teardown_vetoes(self):
@@ -75,7 +75,7 @@ class TestDispatchGuards:
         """Outside the guards the scalar path runs the same schedule."""
         cset = paper_figure2_set()
         plain = _columnar_scheduler().schedule(cset, n_leaves=N)
-        compat = _columnar_scheduler(trace_compat=True).schedule(cset, n_leaves=N)
+        compat = _columnar_scheduler(engine="fast").schedule(cset, n_leaves=N)
         _assert_equal(plain, compat)
 
 
@@ -155,7 +155,7 @@ class TestScheduleBatch:
     def test_mixed_shapes_match_solo(self):
         rng = np.random.default_rng(3)
         csets = [random_well_nested(k, N, rng) for k in (1, 3, 5)]
-        cfg = SchedulerConfig(engine="columnar")
+        cfg = SchedulerConfig(engine="auto")
         solo = PADRScheduler(config=cfg)
         for got, cset in zip(schedule_batch(csets, n_leaves=N, config=cfg), csets):
             _assert_equal(got, solo.schedule(cset, n_leaves=N))
@@ -166,7 +166,7 @@ class TestScheduleBatch:
         crossing = CommunicationSet(
             (Communication(0, 2), Communication(1, 3))
         )
-        cfg = SchedulerConfig(engine="columnar", validate_input=True)
+        cfg = SchedulerConfig(engine="auto", validate_input=True)
         with pytest.raises(ReproError):
             schedule_batch([crossing], n_leaves=N, config=cfg)
 
@@ -175,3 +175,20 @@ class TestScheduleBatch:
         cfg = SchedulerConfig(engine="reference")
         (got,) = schedule_batch([cset], n_leaves=N, config=cfg)
         _assert_equal(got, PADRScheduler(config=cfg).schedule(cset, n_leaves=N))
+
+    def test_fast_engine_never_runs_the_kernel(self, monkeypatch):
+        """``engine="fast"`` walks per-switch state in a batch too, as
+        :meth:`SchedulerConfig.selects_columnar` says."""
+        import repro.core.columnar as columnar
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the columnar kernel ran")
+
+        monkeypatch.setattr(columnar, "ColumnarRun", no_kernel)
+        rng = np.random.default_rng(8)
+        csets = [random_well_nested(8, 32, rng) for _ in range(3)]
+        cfg = SchedulerConfig(engine="fast")
+        assert not cfg.selects_columnar(32)
+        solo = PADRScheduler(config=cfg)
+        for got, cset in zip(schedule_batch(csets, n_leaves=32, config=cfg), csets):
+            _assert_equal(got, solo.schedule(cset, n_leaves=32))

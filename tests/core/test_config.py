@@ -43,11 +43,11 @@ class TestEngineSelection:
         assert factory is CSTEngine  # no wrapper on the hot path
 
     def test_reference_engine(self):
-        factory = SchedulerConfig(fast_path=False).engine_factory()
+        factory = SchedulerConfig(engine="reference").engine_factory()
         assert factory is ReferenceWaveEngine
 
     def test_explicit_columnar_is_bare_class(self):
-        factory = SchedulerConfig(engine="columnar").engine_factory()
+        factory = SchedulerConfig(engine="auto").engine_factory()
         assert factory is ColumnarWaveEngine
 
     def test_auto_factory_resolves_by_size(self):
@@ -62,25 +62,27 @@ class TestEngineSelection:
         assert isinstance(factory(CSTNetwork.of_size(8)), CSTEngine)
 
     def test_engine_cls_matches_selects_columnar(self):
-        for engine in ("auto", "fast", "columnar", "reference"):
-            fast_path = engine != "reference"
-            cfg = SchedulerConfig(engine=engine, fast_path=fast_path)
+        for engine in ("auto", "fast", "reference"):
+            cfg = SchedulerConfig(engine=engine)
             for n in (8, 128, 4096):
                 assert cfg.selects_columnar(n) == (
                     cfg.engine_cls() is ColumnarWaveEngine
                 )
 
-    def test_trace_compat_vetoes_columnar(self):
-        cfg = SchedulerConfig(engine="columnar", trace_compat=True)
+    def test_fast_engine_vetoes_columnar(self):
+        cfg = SchedulerConfig(engine="fast")
         assert cfg.selects_columnar(4096) is False
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SchedulingError, match="unknown engine"):
             SchedulerConfig(engine="turbo")
 
-    def test_engine_contradicting_fast_path_rejected(self):
-        with pytest.raises(SchedulingError, match="contradicts"):
-            SchedulerConfig(engine="columnar", fast_path=False)
+    def test_retired_columnar_engine_rejected(self):
+        """``"columnar"`` was an alias of ``"auto"``; it now fails loudly,
+        naming the value."""
+        with pytest.raises(SchedulingError, match="'columnar'"):
+            SchedulerConfig(engine="columnar")
+
 
     def test_bad_threshold_rejected(self):
         """The retired ``columnar_threshold`` knob is refused loudly."""
@@ -96,26 +98,26 @@ class TestEngineSelection:
 
     def test_engines_produce_identical_schedules(self):
         workload = cs((0, 7), (1, 2), (3, 6))
-        fast = SchedulerConfig(fast_path=True).build().schedule(workload)
-        ref = SchedulerConfig(fast_path=False).build().schedule(workload)
+        fast = SchedulerConfig(engine="fast").build().schedule(workload)
+        ref = SchedulerConfig(engine="reference").build().schedule(workload)
         assert fast.rounds == ref.rounds
         assert fast.power.total_units == ref.power.total_units
 
 
 class TestSerialization:
     def test_round_trip(self):
-        cfg = SchedulerConfig(fast_path=False, trace_wave_cap=16, strict=False)
+        cfg = SchedulerConfig(engine="reference", trace_wave_cap=16, strict=False)
         assert SchedulerConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_round_trip_preserves_engine_selection(self):
-        cfg = SchedulerConfig(engine="columnar", trace_compat=False)
+        cfg = SchedulerConfig(engine="auto")
         restored = SchedulerConfig.from_dict(cfg.to_dict())
         assert restored == cfg
         assert restored.selects_columnar(512) is True
 
     def test_cache_signature_distinguishes_engines(self):
         assert (
-            SchedulerConfig(engine="columnar").cache_signature()
+            SchedulerConfig(engine="auto").cache_signature()
             != SchedulerConfig(engine="fast").cache_signature()
         )
 
@@ -130,7 +132,7 @@ class TestSerialization:
     def test_cache_signature_distinguishes_configs(self):
         assert (
             SchedulerConfig().cache_signature()
-            != SchedulerConfig(fast_path=False).cache_signature()
+            != SchedulerConfig(engine="reference").cache_signature()
         )
         assert (
             SchedulerConfig().cache_signature()

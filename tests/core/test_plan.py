@@ -8,11 +8,15 @@ from hypothesis import given, settings
 
 from repro.comms.communication import Communication, CommunicationSet
 from repro.comms.decompose import decompose
+from repro.analysis.verifier import verify_schedule
 from repro.comms.generators import (
+    crossing_chain,
     paper_figure2_set,
     random_arbitrary,
     random_well_nested,
 )
+from repro.comms.wellnested import is_well_nested
+from repro.comms.width import width
 from repro.core.base import ScheduleResult
 from repro.core.csa import PADRScheduler
 from repro.core.config import SchedulerConfig
@@ -258,3 +262,134 @@ class TestGeneralProperties:
         gs = schedule_general(cset, n_leaves=32)
         assert gs.optimum_rounds <= gs.rounds_used <= gs.sequential_rounds
         assert gs.merged_rounds == gs.sequential_rounds - gs.rounds_used
+
+
+class TestDecomposeLayering:
+    """First-fit well-nested layering, one orientation at a time."""
+
+    def test_well_nested_set_is_one_layer(self):
+        cset = crossing_chain(4)
+        batches = decompose(cset).batches
+        assert len(batches) == 1
+        assert batches[0].cset == cset
+
+    def test_crossing_pair_splits(self):
+        assert decompose(cs((0, 2), (1, 3))).n_batches == 2
+
+    def test_layers_partition_the_set(self):
+        cset = cs((0, 4), (1, 5), (2, 6), (3, 7))  # fully crossing ladder
+        batches = decompose(cset).batches
+        flat = sorted(c for b in batches for c in b.cset)
+        assert flat == sorted(cset.comms)
+        assert len(batches) == 4  # every pair crosses every other
+
+    def test_each_right_layer_is_well_nested(self):
+        cset = cs((0, 2), (1, 3), (4, 6), (5, 7))
+        for batch in decompose(cset).batches:
+            assert is_well_nested(batch.cset)
+
+    def test_empty(self):
+        assert decompose(CommunicationSet(())).batches == ()
+
+    def test_split_by_orientation(self):
+        mixed = cs((0, 1), (3, 2), (4, 7), (6, 5))
+        batches = decompose(mixed).batches
+        right = sorted(c for b in batches if b.orientation == "right" for c in b.cset)
+        left = sorted(c for b in batches if b.orientation == "left" for c in b.cset)
+        assert right == [Communication(0, 1), Communication(4, 7)]
+        assert left == [Communication(3, 2), Communication(6, 5)]
+
+    def test_pure_right(self):
+        batches = decompose(cs((0, 1))).batches
+        assert [b.orientation for b in batches] == ["right"]
+
+
+class TestSequentialAccounting:
+    """``sequential_rounds`` / ``batch_power``: the batch-after-batch run."""
+
+    def test_crossing_pair(self):
+        cset = cs((0, 2), (1, 3))
+        gs = schedule_general(cset, n_leaves=8)
+        verify_schedule(gs.combined, cset).raise_if_failed()
+        assert gs.n_batches == 2
+
+    def test_mixed_orientation_with_crossings(self):
+        cset = cs((0, 2), (1, 3), (7, 5), (6, 4))
+        gs = schedule_general(cset, n_leaves=8)
+        verify_schedule(gs.combined, cset).raise_if_failed()
+
+    def test_well_nested_degenerates_to_csa(self):
+        cset = crossing_chain(3)
+        gs = schedule_general(cset)
+        verify_schedule(gs.combined, cset).raise_if_failed()
+        assert gs.rounds_used == gs.sequential_rounds == 3
+        assert gs.n_batches == 1
+
+    def test_empty_set(self):
+        gs = schedule_general(CommunicationSet(()), n_leaves=8)
+        assert gs.rounds_used == gs.sequential_rounds == 0
+
+    def test_mixed_set_scheduled_correctly(self):
+        mixed = cs((0, 3), (1, 2), (7, 4), (6, 5))
+        gs = schedule_general(mixed, n_leaves=8)
+        verify_schedule(gs.combined, mixed).raise_if_failed()
+
+    def test_round_indices_contiguous(self):
+        gs = schedule_general(cs((0, 1), (3, 2)), n_leaves=8)
+        assert [r.index for r in gs.combined.rounds] == list(range(gs.rounds_used))
+
+    def test_sequential_rounds_are_sum_of_oriented_widths(self):
+        # right-oriented pairs on leaves 0..15, left-oriented on 16..31:
+        # disjoint endpoints by construction.
+        right = cs((0, 15), (1, 14), (2, 3))
+        left = cs((31, 16), (30, 17))
+        mixed = CommunicationSet(list(right) + list(left))
+        gs = schedule_general(mixed, n_leaves=32)
+        verify_schedule(gs.combined, mixed).raise_if_failed()
+        topo = CSTTopology.of(32)
+        assert gs.sequential_rounds == width(right, topo) + width(
+            left.mirrored(32), topo
+        )
+
+    def test_pure_right_set_degenerates_to_csa(self):
+        cset = cs((0, 3), (1, 2))
+        gs = schedule_general(cset, n_leaves=8)
+        verify_schedule(gs.combined, cset).raise_if_failed()
+        assert gs.rounds_used == 2
+
+    def test_power_charged_across_batches(self):
+        gs = schedule_general(cs((0, 1), (3, 2)), n_leaves=8)
+        assert gs.power_units > 0 and all(p > 0 for p in gs.batch_power)
+        assert gs.combined.power.rounds == gs.rounds_used
+
+    @given(cset=arbitrary_set_st(max_pairs=8, n_leaves=32))
+    @settings(max_examples=80, deadline=None)
+    def test_any_valid_set_schedules_correctly(self, cset):
+        gs = schedule_general(cset, n_leaves=32)
+        verify_schedule(gs.combined, cset).raise_if_failed()
+
+
+class TestPackedRounds:
+    """``rounds_used``: batch rounds merged where their edges are disjoint."""
+
+    def test_correctness_on_crossings(self):
+        cset = cs((0, 4), (1, 5), (2, 6), (3, 7))
+        gs = schedule_general(cset, n_leaves=8)
+        verify_schedule(gs.combined, cset).raise_if_failed()
+
+    def test_never_more_rounds_than_sequential(self):
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            right = random_well_nested(5, 32, rng)
+            gs = schedule_general(right, n_leaves=32)
+            assert gs.rounds_used <= gs.sequential_rounds
+
+    def test_opposite_orientations_interleave(self):
+        # a right chain and its left mirror use opposite edge directions:
+        # the packed schedule takes max(w, w), not w + w.
+        right = [Communication(0, 15), Communication(1, 14)]
+        left = [Communication(13, 2), Communication(12, 3)]
+        cset = CommunicationSet(right + left)
+        gs = schedule_general(cset, n_leaves=16)
+        verify_schedule(gs.combined, cset).raise_if_failed()
+        assert gs.rounds_used < gs.sequential_rounds

@@ -1,4 +1,4 @@
-"""Unit tests for left-oriented mirroring and mixed-set decomposition."""
+"""Unit tests for left-oriented scheduling by mirroring."""
 
 import numpy as np
 import pytest
@@ -6,28 +6,12 @@ import pytest
 from repro.exceptions import OrientationError
 from repro.comms.communication import Communication, CommunicationSet
 from repro.comms.generators import random_well_nested
-from repro.extensions.oriented import (
-    MirroredScheduler,
-    OrientedDecompositionScheduler,
-    decompose_by_orientation,
-)
+from repro.extensions.oriented import MirroredScheduler
 from repro.analysis.verifier import verify_schedule
 
 
 def cs(*pairs):
     return CommunicationSet(Communication(s, d) for s, d in pairs)
-
-
-class TestDecompose:
-    def test_split(self):
-        mixed = cs((0, 1), (3, 2), (4, 7), (6, 5))
-        right, left = decompose_by_orientation(mixed)
-        assert sorted(right) == [Communication(0, 1), Communication(4, 7)]
-        assert sorted(left) == [Communication(3, 2), Communication(6, 5)]
-
-    def test_pure_right(self):
-        right, left = decompose_by_orientation(cs((0, 1)))
-        assert len(right) == 1 and len(left) == 0
 
 
 class TestMirroredScheduler:
@@ -58,61 +42,3 @@ class TestMirroredScheduler:
             left = right.mirrored(32)
             s = MirroredScheduler().schedule(left, n_leaves=32)
             verify_schedule(s, left).raise_if_failed()
-
-
-class TestOrientedDecompositionScheduler:
-    def test_mixed_set_scheduled_correctly(self):
-        mixed = cs((0, 3), (1, 2), (7, 4), (6, 5))
-        s = OrientedDecompositionScheduler().schedule(mixed, n_leaves=8)
-        verify_schedule(s, mixed).raise_if_failed()
-
-    def test_round_indices_contiguous(self):
-        mixed = cs((0, 1), (3, 2))
-        s = OrientedDecompositionScheduler().schedule(mixed, n_leaves=8)
-        assert [r.index for r in s.rounds] == list(range(s.n_rounds))
-
-    def test_rounds_are_sum_of_oriented_widths(self):
-        from repro.comms.width import width
-        from repro.cst.topology import CSTTopology
-
-        # right-oriented pairs on leaves 0..15, left-oriented on 16..31:
-        # disjoint endpoints by construction.
-        right = cs((0, 15), (1, 14), (2, 3))
-        left = cs((31, 16), (30, 17))
-        mixed = CommunicationSet(list(right) + list(left))
-        s = OrientedDecompositionScheduler().schedule(mixed, n_leaves=32)
-        verify_schedule(s, mixed).raise_if_failed()
-        topo = CSTTopology.of(32)
-        w_right = width(right, topo)
-        w_left = width(left.mirrored(32), topo)
-        assert s.n_rounds == w_right + w_left
-
-    def test_pure_right_set_degenerates_to_csa(self):
-        cset = cs((0, 3), (1, 2))
-        s = OrientedDecompositionScheduler().schedule(cset, n_leaves=8)
-        verify_schedule(s, cset).raise_if_failed()
-        assert s.n_rounds == 2
-
-    def test_empty_set(self):
-        s = OrientedDecompositionScheduler().schedule(CommunicationSet(()), n_leaves=8)
-        assert s.n_rounds == 0
-
-    def test_power_merged_across_phases(self):
-        mixed = cs((0, 1), (3, 2))
-        s = OrientedDecompositionScheduler().schedule(mixed, n_leaves=8)
-        assert s.power.total_units > 0
-        assert s.power.rounds == s.n_rounds
-
-
-class TestNativeLeftOption:
-    def test_native_left_equivalent_to_mirrored(self):
-        mixed = cs((0, 3), (1, 2), (7, 4), (6, 5))
-        via_mirror = OrientedDecompositionScheduler().schedule(mixed, n_leaves=8)
-        via_native = OrientedDecompositionScheduler(native_left=True).schedule(
-            mixed, n_leaves=8
-        )
-        verify_schedule(via_native, mixed).raise_if_failed()
-        assert via_native.n_rounds == via_mirror.n_rounds
-        assert (
-            via_native.power.total_units == via_mirror.power.total_units
-        )

@@ -20,7 +20,7 @@ from repro.service.cache import canonical_signature
 from tests.conftest import arbitrary_set_st, wellnested_set_st
 
 AUTO = SchedulerConfig(decompose="auto")
-CONFIGS = (AUTO, SchedulerConfig(decompose="auto", fast_path=False))
+CONFIGS = (AUTO, SchedulerConfig(decompose="auto", engine="reference"))
 WIDTHS = (32, 64)
 
 

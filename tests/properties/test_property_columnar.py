@@ -35,7 +35,7 @@ N = 64
 
 
 def _solo(cset, config=None):
-    cfg = config or SchedulerConfig(validate_input=False, engine="columnar")
+    cfg = config or SchedulerConfig(validate_input=False, engine="auto")
     return PADRScheduler(config=cfg).schedule(cset, n_leaves=N)
 
 
@@ -59,7 +59,7 @@ def test_batch_matches_solo_schedules(csets):
     The sets are *not* required to share a shape — grouping only improves
     lockstep, never correctness.
     """
-    cfg = SchedulerConfig(validate_input=False, engine="columnar")
+    cfg = SchedulerConfig(validate_input=False, engine="auto")
     batched = schedule_batch(csets, n_leaves=N, config=cfg)
     assert len(batched) == len(csets)
     for cset, got in zip(csets, batched):
@@ -86,7 +86,7 @@ def test_shape_key_is_relabelling_invariant(word, data):
     )
     a = from_dyck_word(word, sorted(data.draw(positions_st)))
     b = from_dyck_word(word, sorted(data.draw(positions_st)))
-    cfg = SchedulerConfig(engine="columnar")
+    cfg = SchedulerConfig(engine="auto")
     sig_a = canonical_signature(a, N, config=cfg)
     sig_b = canonical_signature(b, N, config=cfg)
     shape_a = (sig_a.n_leaves, sig_a.dyck, sig_a.config)
@@ -100,7 +100,7 @@ def test_shape_key_is_relabelling_invariant(word, data):
 
 POLICIES = (PowerPolicy.paper(), PowerPolicy.htree(), PowerPolicy(unit_cost=2))
 FAST = SchedulerConfig(engine="fast")
-KERNEL = SchedulerConfig(engine="columnar")
+KERNEL = SchedulerConfig(engine="auto")
 
 
 @st.composite

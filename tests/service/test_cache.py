@@ -32,7 +32,7 @@ class TestCanonicalSignature:
     def test_config_is_part_of_the_key(self):
         fast = canonical_signature(cs((0, 1)), 8)
         ref = canonical_signature(
-            cs((0, 1)), 8, config=SchedulerConfig(fast_path=False)
+            cs((0, 1)), 8, config=SchedulerConfig(engine="reference")
         )
         assert fast.cache_key != ref.cache_key
 

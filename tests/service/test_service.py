@@ -93,7 +93,7 @@ class TestCaching:
         svc = SchedulerService(workers=1)
         svc([workload], n_leaves=8)
         other = SchedulerService(
-            workers=1, config=SchedulerConfig(fast_path=False)
+            workers=1, config=SchedulerConfig(engine="reference")
         )
         # fresh service, fresh cache — but also fresh *keys*: same workload
         # under a different config signature cannot collide
@@ -272,7 +272,7 @@ class TestSameShapeBatching:
     @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pooled"])
     def test_columnar_batches_same_shape_groups(self, workers):
         batch = self._same_shape_batch()
-        cfg = SchedulerConfig(engine="columnar")
+        cfg = SchedulerConfig(engine="auto")
         obs = Instrumentation(MetricsRegistry(), run="shp")
         with SchedulerService(
             workers=workers, config=cfg, obs=obs, parity_check=True
@@ -300,7 +300,7 @@ class TestSameShapeBatching:
         """The config the pool initialiser receives round-trips engine
         selection: worker results equal direct columnar scheduling."""
         batch = self._same_shape_batch(copies=4)
-        cfg = SchedulerConfig(engine="columnar")
+        cfg = SchedulerConfig(engine="auto")
         with SchedulerService(workers=2, config=cfg, parity_check=True) as svc:
             pin_dispatch(svc, True)
             report = svc(batch, n_leaves=32)

@@ -409,7 +409,7 @@ class TestDrainPath:
         reg = MetricsRegistry()
         obs = Instrumentation(reg, run="t")
         svc = StreamingSchedulerService(
-            config=SchedulerConfig(engine="columnar"),
+            config=SchedulerConfig(engine="auto"),
             max_inflight=4,
             default_quota=roomy_quota(),
             obs=obs,
@@ -427,7 +427,7 @@ class TestDrainPath:
         reg = MetricsRegistry()
         obs = Instrumentation(reg, run="t")
         svc = StreamingSchedulerService(
-            config=SchedulerConfig(engine="columnar"),
+            config=SchedulerConfig(engine="auto"),
             batch_window=2,
             default_quota=roomy_quota(),
             obs=obs,
@@ -586,7 +586,7 @@ class TestDeadlineBoundary:
 
     def _lone_columnar(self, deadline: int):
         svc = StreamingSchedulerService(
-            config=SchedulerConfig(engine="columnar"),
+            config=SchedulerConfig(engine="auto"),
             batch_window=3,
             max_inflight=4,
             default_quota=roomy_quota(),

@@ -36,9 +36,6 @@ RIGHT = CommunicationSet(
 LEFT = CommunicationSet(
     [Communication(7, 0), Communication(2, 1), Communication(6, 3)]
 )
-MIXED = CommunicationSet(
-    [Communication(0, 3), Communication(5, 4), Communication(6, 7)]
-)
 
 CASES = {
     "PADRScheduler": (repro.PADRScheduler, RIGHT),
@@ -48,12 +45,6 @@ CASES = {
     "RandomOrderScheduler": (repro.RandomOrderScheduler, RIGHT),
     "RoyIDScheduler": (repro.RoyIDScheduler, RIGHT),
     "MirroredScheduler": (repro.MirroredScheduler, LEFT),
-    "OrientedDecompositionScheduler": (
-        repro.OrientedDecompositionScheduler,
-        MIXED,
-    ),
-    "GeneralSetScheduler": (repro.GeneralSetScheduler, MIXED),
-    "InterleavedGeneralScheduler": (repro.InterleavedGeneralScheduler, MIXED),
 }
 
 

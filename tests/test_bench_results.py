@@ -45,3 +45,40 @@ def test_record_refuses_a_file_it_cannot_read(record, tmp_path):
     with pytest.raises(json.JSONDecodeError):
         record({"slo": {}}, path)
     assert path.read_text() == "{not json"
+
+
+@pytest.fixture
+def script_module(monkeypatch):
+    """Import a script from ``scripts/`` with every ``record`` call captured."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_results
+
+    written: list[dict] = []
+
+    def capture(blocks, path=None):
+        written.append(blocks)
+
+    monkeypatch.setattr(bench_results, "record", capture)
+
+    def load(name):
+        module = __import__(name)
+        if hasattr(module, "record"):
+            monkeypatch.setattr(module, "record", capture)
+        return module
+
+    load.written = written
+    return load
+
+
+@pytest.mark.parametrize("script", ["run_decompose_bench", "run_canary"])
+def test_smoke_gates_write_nothing(script_module, script):
+    """A CI smoke must not replace the block its full run recorded."""
+    assert script_module(script).main(["--smoke"]) == 0
+    assert script_module.written == []
+
+
+def test_recorded_blocks_come_from_full_runs():
+    results = json.loads((ROOT / "results" / "BENCH_scaling.json").read_text())
+    assert results["decompose"]["mode"] == "full"
+    assert results["slo"]["arrivals"] > 120  # the smoke replays 120
+    assert set(results["slo"]["candidates"]) == {"fast"}

@@ -133,11 +133,10 @@ class TestConfigRoundTrip:
     def test_wrapped_roundtrip_preserves_engine_selection(self):
         from repro.core.config import SchedulerConfig
 
-        cfg = SchedulerConfig(engine="fast", trace_compat=True)
+        cfg = SchedulerConfig(engine="fast")
         restored = config_from_dict(config_to_dict(cfg))
         assert restored == cfg
         assert restored.engine == "fast"
-        assert restored.trace_compat is True
 
     def test_bare_field_dict_accepted(self):
         from repro.core.config import SchedulerConfig
@@ -148,9 +147,24 @@ class TestConfigRoundTrip:
     def test_json_serializable(self):
         from repro.core.config import SchedulerConfig
 
-        cfg = SchedulerConfig(engine="columnar")
+        cfg = SchedulerConfig(engine="auto")
         text = json.dumps(config_to_dict(cfg))
         assert config_from_dict(json.loads(text)) == cfg
+
+    @pytest.mark.parametrize(
+        "field,value", [("fast_path", False), ("trace_compat", True)]
+    )
+    def test_retired_engine_switches_rejected(self, field, value):
+        """A payload carrying an engine switch retired in favour of
+        ``engine`` fails loudly, naming the field, as ``columnar_threshold``
+        payloads do."""
+        from repro.core.config import SchedulerConfig
+        from repro.exceptions import SchedulingError
+
+        payload = config_to_dict(SchedulerConfig())
+        payload["config"][field] = value
+        with pytest.raises(SchedulingError, match=field):
+            config_from_dict(payload)
 
     def test_wrong_format_rejected(self):
         with pytest.raises(SerializationError, match="format"):

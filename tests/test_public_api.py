@@ -58,8 +58,8 @@ class TestEndToEndViaPublicNamesOnly:
         mixed = repro.CommunicationSet(
             [repro.Communication(0, 1), repro.Communication(3, 2)]
         )
-        s = repro.OrientedDecompositionScheduler().schedule(mixed, n_leaves=8)
-        assert repro.verify_schedule(s, mixed).ok
+        gs = repro.schedule_general(mixed, n_leaves=8)
+        assert repro.verify_schedule(gs.combined, mixed).ok
 
     def test_topology_and_network_exports(self):
         topo = repro.CSTTopology.of(8)
