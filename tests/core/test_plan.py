@@ -329,6 +329,11 @@ class TestSequentialAccounting:
         gs = schedule_general(CommunicationSet(()), n_leaves=8)
         assert gs.rounds_used == gs.sequential_rounds == 0
 
+    def test_empty_set_has_no_batches(self):
+        gs = schedule_general(CommunicationSet(()), n_leaves=8)
+        assert gs.n_batches == 0 and gs.batch_power == ()
+        assert gs.combined.n_rounds == 0
+
     def test_mixed_set_scheduled_correctly(self):
         mixed = cs((0, 3), (1, 2), (7, 4), (6, 5))
         gs = schedule_general(mixed, n_leaves=8)
@@ -365,8 +370,15 @@ class TestSequentialAccounting:
     @given(cset=arbitrary_set_st(max_pairs=8, n_leaves=32))
     @settings(max_examples=80, deadline=None)
     def test_any_valid_set_schedules_correctly(self, cset):
+        # the batch-after-batch run: each batch's reference schedule is
+        # valid on its own and takes the rounds sequential_rounds sums.
         gs = schedule_general(cset, n_leaves=32)
-        verify_schedule(gs.combined, cset).raise_if_failed()
+        assert len(gs.decomposition.batches) == len(gs.batch_rounds)
+        for batch, rounds in zip(gs.decomposition.batches, gs.batch_rounds):
+            form = batch.well_nested_form(32)
+            ref = PADRScheduler().schedule(form, n_leaves=32)
+            verify_schedule(ref, form).raise_if_failed()
+            assert ref.n_rounds == rounds
 
 
 class TestPackedRounds:
@@ -393,3 +405,10 @@ class TestPackedRounds:
         gs = schedule_general(cset, n_leaves=16)
         verify_schedule(gs.combined, cset).raise_if_failed()
         assert gs.rounds_used < gs.sequential_rounds
+
+    @given(cset=arbitrary_set_st(max_pairs=8, n_leaves=32))
+    @settings(max_examples=80, deadline=None)
+    def test_any_valid_set_schedules_correctly(self, cset):
+        gs = schedule_general(cset, n_leaves=32)
+        verify_schedule(gs.combined, cset).raise_if_failed()
+        assert gs.rounds_used <= gs.sequential_rounds
